@@ -1,5 +1,5 @@
 // Command attack-lab demonstrates the cache side channels the paper closes,
-// beyond the Spectre PoC (see cmd/spectre-poc):
+// beyond the Spectre PoC (see examples/spectre):
 //
 //	attack-lab -demo primeprobe   # L1 Prime+Probe vs CleanupSpec's restore
 //	attack-lab -demo l2random     # L2 set-prediction vs CEASER randomization

@@ -12,10 +12,9 @@ import (
 )
 
 // AnalyzerWireEnc guards the byte-determinism of everything this module
-// serializes as JSON: journal rows (manifest, fabric lease log), fabric
-// wire messages, cache entries, and diagnostic dumps. Those bytes feed
-// checksums (cache entries), append-only journals that must replay
-// identically, and cross-host protocol exchanges, so a struct that can
+// serializes as JSON: manifest journal rows, cache entries, and
+// diagnostic dumps. Those bytes feed checksums (cache entries) and
+// append-only journals that must replay identically, so a struct that can
 // encode the same logical value two different ways is a latent
 // divergence bug.
 //
@@ -41,7 +40,7 @@ import (
 // accepted: encoding/json sorts those keys canonically.
 var AnalyzerWireEnc = &Analyzer{
 	Name:   "wireenc",
-	Doc:    "require canonical JSON encoding for structs reaching journals or the fabric wire (no interface-typed content, ordered map keys)",
+	Doc:    "require canonical JSON encoding for structs reaching journals or cache entries (no interface-typed content, ordered map keys)",
 	Run:    runWireEnc,
 	Finish: finishWireEnc,
 }

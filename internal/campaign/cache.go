@@ -104,18 +104,13 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key[:2], key+".json")
 }
 
-// Verify re-derives the entry's checksum and reports whether it matches.
+// verify re-derives the entry's checksum and reports whether it matches.
 // Entries written before SchemaVersion 4 have no Sum, but those fail the
-// schema check first, so an empty Sum here means tampering. The fabric
-// verifies every entry that crosses a process boundary this way — a
-// remote peer's entry is trusted only after its bytes re-hash clean.
-func (e Entry) Verify() bool {
+// schema check first, so an empty Sum here means tampering.
+func (e Entry) verify() bool {
 	want, err := checksum(e)
 	return err == nil && e.Sum == want
 }
-
-// verify is the package-internal spelling of Entry.Verify.
-func verify(e Entry) bool { return e.Verify() }
 
 // noteCorrupt counts and reports a corrupt entry.
 func (c *Cache) noteCorrupt(path, why string) {
@@ -159,21 +154,20 @@ func (c *Cache) Get(key string) (Entry, bool) {
 		c.noteCorrupt(path, "key mismatch")
 		return Entry{}, false
 	}
-	if !verify(e) {
+	if !e.verify() {
 		c.noteCorrupt(path, "checksum mismatch")
 		return Entry{}, false
 	}
 	return e, true
 }
 
-// NewEntry builds the checksummed cache entry for a finished job — the
-// canonical on-disk (and on-wire) representation of one cell's outcome.
-// The fabric sends these between workers and the coordinator; both sides
-// re-verify the checksum before trusting the bytes.
-func NewEntry(job Job, res sim.Result, aux json.RawMessage) (Entry, error) {
+// Put stores the result of job under its key as a checksummed entry, the
+// canonical on-disk representation of one cell's outcome. aux is a custom
+// cell kind's opaque payload (nil for plain simulation cells).
+func (c *Cache) Put(job Job, res sim.Result, aux json.RawMessage) error {
 	key, err := job.Key()
 	if err != nil {
-		return Entry{}, err
+		return err
 	}
 	rc := job.Config.Resolved()
 	e := Entry{
@@ -191,32 +185,16 @@ func NewEntry(job Job, res sim.Result, aux json.RawMessage) (Entry, error) {
 		e.Summary = Summarize(res)
 	}
 	if e.Sum, err = checksum(e); err != nil {
-		return Entry{}, err
-	}
-	return e, nil
-}
-
-// Put stores the result of job under its key. aux is a custom cell kind's
-// opaque payload (nil for plain simulation cells).
-func (c *Cache) Put(job Job, res sim.Result, aux json.RawMessage) error {
-	e, err := NewEntry(job, res, aux)
-	if err != nil {
 		return err
 	}
-	return c.PutEntry(e)
-}
-
-// PutEntry stores an already-built entry under its own key. The entry is
-// re-verified first: a caller holding a corrupt entry (a damaged wire
-// payload, a doctored file) gets an error instead of poisoning the store.
-func (c *Cache) PutEntry(e Entry) error {
+	// The entry is re-verified before it is written, so the store only
+	// ever holds entries a read would accept.
 	if e.Schema != SchemaVersion {
 		return fmt.Errorf("campaign: cache put %s: schema %d, want %d", e.Key, e.Schema, SchemaVersion)
 	}
-	if len(e.Key) < 2 || !e.Verify() {
+	if len(e.Key) < 2 || !e.verify() {
 		return fmt.Errorf("campaign: cache put %s: entry fails checksum verification", e.Key)
 	}
-	key := e.Key
 	data, err := json.MarshalIndent(e, "", " ")
 	if err != nil {
 		return fmt.Errorf("campaign: encoding cache entry: %w", err)
@@ -283,7 +261,7 @@ func (c *Cache) Entries() ([]Entry, error) {
 		if err := json.Unmarshal(data, &e); err != nil || e.Schema != SchemaVersion {
 			return nil // skip torn/foreign files
 		}
-		if !verify(e) {
+		if !e.verify() {
 			c.noteCorrupt(path, "checksum mismatch")
 			return nil
 		}

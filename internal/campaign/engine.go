@@ -78,8 +78,8 @@ type Engine struct {
 	// key until the driver (Run / RunJob) collects it with takeSpan. The
 	// side channel exists so runJob can return a JobResult that carries no
 	// wall-clock-derived data at all — spans embed wall stamps, and a
-	// result free of them stays usable in hash/identity derivations
-	// downstream (fabric completion entries) without tripping detertaint.
+	// result free of them stays usable in downstream hash/identity
+	// derivations without tripping detertaint.
 	openSpans map[string]*obs.Span
 
 	sims atomic.Int64
@@ -244,14 +244,12 @@ func (e *Engine) runAttempt(job Job, cfg sim.Config, faults *faultinject.Injecto
 	return memoVal{res: res}, err
 }
 
-// Backoff returns the delay before retry attempt n (1-based) of the
+// backoff returns the delay before retry attempt n (1-based) of the
 // operation keyed by key: exponential in the attempt with up to 100%
 // jitter, all derived from (key, attempt) through xrand — so two runs of
 // the same campaign back off identically no matter how workers are
-// scheduled. The fabric worker reuses it for lease-wait and heartbeat
-// retry pacing, keyed by the worker id, so a fleet of workers hammering
-// one coordinator desynchronizes deterministically.
-func Backoff(key string, attempt int, base time.Duration) time.Duration {
+// scheduled.
+func backoff(key string, attempt int, base time.Duration) time.Duration {
 	if base <= 0 || attempt <= 0 {
 		return 0
 	}
@@ -373,14 +371,12 @@ func (e *Engine) takeSpan(key string) *obs.Span {
 
 // RunJob executes a single job through the memo and cache and returns the
 // full JobResult — including the custom-kind Aux payload, quarantine
-// state, and attempt count that RunOne flattens away. The fabric worker
-// runs leased cells through this entry point so a completion message can
-// carry everything the coordinator journals.
+// state, and attempt count that RunOne flattens away. Replay runs
+// quarantined cells through this entry point.
 //
 // The returned result carries no Elapsed measurement and no span handle:
 // keeping wall-clock-derived values out of this value means everything
-// built from it — fabric completion messages, cache entries rebuilt from
-// Result/Aux — stays free of wall taint (detertaint tracks this
+// built from it stays free of wall taint (detertaint tracks this
 // transitively). Batch callers that want per-job wall cost stamp it
 // themselves, as Run does.
 func (e *Engine) RunJob(job Job) JobResult {
@@ -448,7 +444,7 @@ func (e *Engine) runJob(job Job) JobResult {
 					cfg.MaxCycles = e.RetryMaxCycles
 				}
 			}
-			e.pause(Backoff(key, attempt, e.Backoff))
+			e.pause(backoff(key, attempt, e.Backoff))
 		}
 		attempts++
 		e.sims.Add(1)

@@ -5,12 +5,11 @@
 // so a fault schedule replays bit-identically across runs and under -race.
 //
 // Sites are the hardening boundaries named by the robustness plan: cache
-// read/write, manifest append, worker execution, simulation step
-// (commit) boundaries, and the distributed-fabric protocol (message
-// delivery, lease expiry, heartbeat loss, stale double-completion).
-// Each layer consults its injector with Check (or, for
-// the simulator, the precomputed StallCycle) and applies the returned fault
-// kind itself; the injector never touches I/O or simulator state directly.
+// read/write, manifest append, worker execution, and simulation step
+// (commit) boundaries. Each layer consults its injector with Check (or,
+// for the simulator, the precomputed StallCycle) and applies the returned
+// fault kind itself; the injector never touches I/O or simulator state
+// directly.
 //
 // Injection is disabled by default: every method is safe on a nil
 // *Injector and reports "no fault", so production call sites pay one nil
@@ -44,24 +43,6 @@ const (
 	// SiteSimStep seeds a simulator livelock: commit stalls permanently
 	// from a scheduled cycle, exercising the forward-progress watchdog.
 	SiteSimStep
-	// SiteFabricMsg fires in the fabric transport, once per message
-	// exchange: a lost request (error), a delivered request whose
-	// response is lost (drop), a request delivered twice (duplicate), a
-	// stale earlier request re-delivered after this one (reorder), or a
-	// payload corrupted in transit (corrupt).
-	SiteFabricMsg
-	// SiteLeaseExpiry fires in the coordinator's grant path: the granted
-	// lease's TTL collapses to zero, so the very next clock tick reclaims
-	// it — the "worker went silent immediately" schedule.
-	SiteLeaseExpiry
-	// SiteHeartbeat fires in the worker's renew path: the heartbeat is
-	// silently dropped (never sent), so the lease ages toward expiry while
-	// the worker believes it is covered.
-	SiteHeartbeat
-	// SiteStaleComplete fires in the worker's completion path: the
-	// completion message is sent twice, exercising the coordinator's
-	// double-completion idempotency even without a lease expiry.
-	SiteStaleComplete
 	numSites
 )
 
@@ -78,14 +59,6 @@ func (s Site) String() string {
 		return "worker-exec"
 	case SiteSimStep:
 		return "sim-step"
-	case SiteFabricMsg:
-		return "fabric-msg"
-	case SiteLeaseExpiry:
-		return "lease-expiry"
-	case SiteHeartbeat:
-		return "heartbeat"
-	case SiteStaleComplete:
-		return "stale-complete"
 	}
 	return fmt.Sprintf("site(%d)", uint8(s))
 }
@@ -106,15 +79,6 @@ const (
 	KindPanic
 	// KindStall freezes simulator commit from a scheduled cycle on.
 	KindStall
-	// KindDrop delivers a fabric message but loses its response, so the
-	// sender retries an operation the receiver already applied — the
-	// duplicate-delivery schedule the protocol must be idempotent under.
-	KindDrop
-	// KindDuplicate delivers a fabric message twice back to back.
-	KindDuplicate
-	// KindReorder re-delivers the sender's previous message after the
-	// current one: a delayed duplicate arriving out of order.
-	KindReorder
 )
 
 // String names the kind for event logs and test failures.
@@ -132,12 +96,6 @@ func (k Kind) String() string {
 		return "panic"
 	case KindStall:
 		return "stall"
-	case KindDrop:
-		return "drop"
-	case KindDuplicate:
-		return "duplicate"
-	case KindReorder:
-		return "reorder"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -221,10 +179,6 @@ var siteKinds = [numSites][]Kind{
 	SiteManifestAppend: {KindError, KindTruncate},
 	SiteWorkerExec:     {KindError, KindPanic},
 	SiteSimStep:        {KindStall},
-	SiteFabricMsg:      {KindError, KindDrop, KindDuplicate, KindReorder, KindCorrupt},
-	SiteLeaseExpiry:    {KindError},
-	SiteHeartbeat:      {KindDrop},
-	SiteStaleComplete:  {KindDuplicate},
 }
 
 // New derives a random fault schedule from seed: each site independently
@@ -243,9 +197,6 @@ func New(seed uint64) *Injector {
 		fireAt := 1 + r.Uint64n(3) // sites see only a handful of hits per small campaign
 		if s == SiteSimStep {
 			fireAt = 200 + r.Uint64n(2500) // stall cycle, comfortably before any MaxCycles bound
-		}
-		if s == SiteFabricMsg {
-			fireAt = 1 + r.Uint64n(20) // every protocol exchange hits this site; spread across the run
 		}
 		in.plans[s] = append(in.plans[s], fault{kind: k, fireAt: fireAt})
 	}
@@ -355,9 +306,8 @@ func (in *Injector) Mutate(kind Kind, data []byte) []byte {
 	case KindTruncate:
 		return append([]byte(nil), data[:len(data)/2]...)
 	default:
-		// KindNone, KindError, KindPanic, KindStall and the fabric
-		// delivery kinds (KindDrop, KindDuplicate, KindReorder) carry no
-		// payload mutation: the data passes through untouched.
+		// KindNone, KindError, KindPanic and KindStall carry no payload
+		// mutation: the data passes through untouched.
 		return data
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // knownSpectre is a hand-written gadget in the exact shape of the classic
-// Spectre-v1 PoC (cmd/spectre-poc): bounds-check window, direct index
+// Spectre-v1 PoC (examples/spectre): bounds-check window, direct index
 // encoding, Flush+Reload receiver. It anchors the oracle to ground truth —
 // if the fuzzer cannot see THIS leak, it can see nothing.
 func knownSpectre() GadgetSpec {
