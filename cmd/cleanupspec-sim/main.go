@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/metrics"
 	"repro/sim"
@@ -81,7 +80,7 @@ func main() {
 	r, err := sim.RunWorkload(*wl, cfg)
 	check(err)
 	if *metricsOut != "" {
-		check(writeSeries(*metricsOut, col.Samples()))
+		check(metrics.WriteSeriesFile(*metricsOut, col.Samples()))
 		fmt.Fprintf(os.Stderr, "cleanupspec-sim: wrote %d sample(s) to %s\n", len(col.Samples()), *metricsOut)
 	}
 	if *traceOut != "" {
@@ -111,25 +110,12 @@ func main() {
 	}
 }
 
-func writeSeries(path string, samples []sim.MetricSample) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return metrics.WriteCSV(f, samples)
-	}
-	return metrics.WriteJSONL(f, samples)
-}
-
 func writeChromeTrace(path, wl string, cfg sim.Config, samples []sim.MetricSample) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return metrics.ExportChromeTrace(f, metrics.ChromeTraceOpts{
+	err = metrics.ExportChromeTrace(f, metrics.ChromeTraceOpts{
 		Process: string(cfg.Resolved().Policy) + "/" + wl,
 		Events:  cfg.Trace.Events(),
 		Samples: samples,
@@ -139,6 +125,10 @@ func writeChromeTrace(path, wl string, cfg sim.Config, samples []sim.MetricSampl
 			{Name: "l1d-miss-rate", Values: metrics.RatioDeltas(samples, "l1d.misses", "l1d.accesses")},
 		},
 	})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func scale(vals []float64, by float64) []float64 {

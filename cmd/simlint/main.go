@@ -1,21 +1,20 @@
 // Command simlint runs the simulator-specific static-analysis suite over
-// this module: determinism (flow-sensitive map iteration order),
+// this module: determinism (flow-sensitive map iteration order, for map
+// ranges and maps.Keys/maps.Values alike, plus wall-clock/math-rand taint
+// tracked through calls, fields, and closures into key/ID/stats sinks),
 // metrics-completeness (every Stats counter bound to the registry),
 // cache-key purity (every sim.Config field keyed or excluded+zeroed),
 // cycle-typing (latency fields are uint64), error-discipline (no panic in
 // internal/ outside must* helpers), lockorder (acquisition cycles, double
 // and callee re-acquisition, locks held across goroutine spawns, guarded
 // fields touched without their mutex — interprocedural via call-graph
-// summaries), detertaint (wall-clock/math-rand/map-order taint tracked
-// through calls, fields, and closures into key/ID/stats sinks),
-// undocomplete (speculative mutations in cache/memsys/coherence paired
-// with restore writes reachable from the cleanup path), deferunlock
-// (single Lock/Unlock pairs rewritable into the defer idiom),
-// enumexhaustive (switches over iota enums cover every constant or
-// declare a default), wireenc (structs reaching JSON journals or cache
-// entries carry no interface-typed content or unordered map keys, and
-// custom MarshalJSON bodies no map ranges, so journal rows and cache
-// entries encode canonically), hotalloc (no unjustified
+// summaries), undocomplete (speculative mutations in
+// cache/memsys/coherence paired with restore writes reachable from the
+// cleanup path), enumexhaustive (switches over iota enums cover every
+// constant or declare a default), wireenc (structs reaching JSON journals
+// or cache entries carry no interface-typed content or unordered map
+// keys, and custom MarshalJSON bodies no map ranges, so journal rows and
+// cache entries encode canonically), hotalloc (no unjustified
 // allocation — make/new/composite literals, growing appends, interface
 // boxing, closures, fmt calls — reachable from the per-cycle hot roots;
 // see -hotreport), cyclemath (uint64 cycle subtraction dominated by a
@@ -46,12 +45,13 @@
 // -sarif writes the findings as a SARIF 2.1.0 log to the given file ("-"
 // for stdout) in addition to the normal output; CI uploads it as a
 // blocking artifact. -fix applies every mechanical rewrite the analyzers
-// propose — the collect-then-sort map-range idiom, stale-directive
-// removal, and the deferred-unlock idiom — through gofmt, and is
-// idempotent: a second run changes nothing. -fix -diff previews the same
-// rewrites as a unified diff without touching files (CI runs this as a
-// blocking step). Findings with no mechanical fix are still printed and
-// still fail the run. Suppressions require a justification:
+// propose — the collect-then-sort map-range idiom and stale-directive
+// removal — through gofmt, and is idempotent: a second run changes
+// nothing. -fix -diff previews the same rewrites as a unified diff
+// without touching files (CI runs this as a blocking step). Findings with
+// no mechanical fix are still printed and still fail the run.
+// Suppressions require a justification; map-order findings take only the
+// first form:
 //
 //	//simlint:ordered -- <why iteration order is irrelevant>
 //	//simlint:allow <analyzer> -- <why this is safe>

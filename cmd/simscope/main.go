@@ -139,7 +139,7 @@ func cmdRun(args []string) error {
 	}
 
 	if *metricsOut != "" {
-		if err := writeSeries(*metricsOut, samples); err != nil {
+		if err := metrics.WriteSeriesFile(*metricsOut, samples); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d sample(s) to %s\n", len(samples), *metricsOut)
@@ -264,18 +264,6 @@ func cmdCampaign(args []string) error {
 		}
 	}
 	return nil
-}
-
-func writeSeries(path string, samples []sim.MetricSample) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return metrics.WriteCSV(f, samples)
-	}
-	return metrics.WriteJSONL(f, samples)
 }
 
 // downsample shrinks vals to at most width points by averaging fixed-size

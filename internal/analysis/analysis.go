@@ -3,12 +3,14 @@
 // no x/tools dependency) plus the simulator-specific analyzers that keep
 // the repository's headline guarantees machine-checked:
 //
-//   - determinism: no map-order-dependent iteration in simulation or
-//     export paths, and no stray randomness or wall-clock reads outside
-//     the blessed packages — the invariant behind bit-identical parallel
-//     vs serial campaign runs. Flow-sensitive: the collect-then-sort
-//     idiom is tracked through locals and helper calls on every control
-//     path (see determinism.go).
+//   - determinism: no map-order dependence (map ranges, maps.Keys and
+//     maps.Values) in simulation or export paths, and no wall-clock or
+//     math/rand value reaching a key/ID/stats sink — the invariant behind
+//     bit-identical parallel vs serial campaign runs. Map order is
+//     flow-sensitive: the collect-then-sort idiom is tracked through
+//     locals and helper calls on every control path (determinism.go).
+//     Wall and rand values are tracked as taint through calls, fields,
+//     and closures (taint.go).
 //   - metricscomplete: every exported numeric Stats field reaches the
 //     metrics registry in its package's AttachMetrics, so new counters
 //     cannot silently drop out of simscope/Perfetto exports.
@@ -94,9 +96,7 @@ func Analyzers() []*Analyzer {
 		AnalyzerCycleTyping,
 		AnalyzerErrDiscipline,
 		AnalyzerLockOrder,
-		AnalyzerDeterTaint,
 		AnalyzerUndoComplete,
-		AnalyzerDeferUnlock,
 		AnalyzerEnumExhaustive,
 		AnalyzerWireEnc,
 		AnalyzerHotAlloc,
@@ -149,8 +149,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // ReportFix reports a finding carrying an optional mechanical fix.
 func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
+	p.reportAs("", pos, fix, format, args...)
+}
+
+// reportAs is ReportFix with suppression restricted to directives of one
+// verb ("" accepts either): determinism's map-order findings yield only
+// to //simlint:ordered, its wall/rand findings only to //simlint:allow.
+func (p *Pass) reportAs(verb string, pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Mod.Fset.Position(pos)
-	if p.runner.suppressed(p.analyzer.Name, position) {
+	if p.runner.suppressed(p.analyzer.Name, verb, position) {
 		return
 	}
 	p.findings = append(p.findings, Finding{
@@ -179,7 +186,7 @@ func (p *FinishPass) Reportf(pos token.Pos, format string, args ...any) {
 // ReportFix reports a module-level finding carrying an optional fix.
 func (p *FinishPass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Mod.Fset.Position(pos)
-	if p.runner.suppressed(p.analyzer.Name, position) {
+	if p.runner.suppressed(p.analyzer.Name, "", position) {
 		return
 	}
 	p.findings = append(p.findings, Finding{
@@ -245,20 +252,18 @@ type Runner struct {
 	matchedFiles map[string]bool
 
 	// Module-wide fact caches, built on first use (concurrency-safe).
-	sorterOnce sync.Once
-	sorters    map[*types.Func][]bool // which slice params a function sorts
-	enumOnce   sync.Once
-	enums      map[*types.TypeName]*enumInfo // iota-enum facts per named type
-	cgOnce     sync.Once
-	cg         *callGraph // module call graph (callgraph.go)
-	lockOnce   sync.Once
-	locks      *lockFacts
-	taintOnce  sync.Once
-	taints     *taintFacts
-	undoOnce   sync.Once
-	undo       *undoFacts
-	hotOnce    sync.Once
-	hot        *hotFacts // hot-path allocation model (hotalloc.go)
+	enumOnce sync.Once
+	enums    map[*types.TypeName]*enumInfo // iota-enum facts per named type
+	cgOnce   sync.Once
+	cg       *callGraph // module call graph (callgraph.go)
+	lockOnce sync.Once
+	locks    *lockFacts
+	detOnce  sync.Once
+	det      *detFacts // taint and sorter summaries (taint.go, determinism.go)
+	undoOnce sync.Once
+	undo     *undoFacts
+	hotOnce  sync.Once
+	hot      *hotFacts // hot-path allocation model (hotalloc.go)
 
 	// lockAcc accumulates cross-package lock-graph edges during the
 	// parallel phase; AnalyzerLockOrder.Finish reads it.
@@ -282,13 +287,15 @@ func NewRunner(mod *Module) *Runner {
 	return r
 }
 
-func (r *Runner) suppressed(analyzer string, pos token.Position) bool {
+// suppressed reports whether a directive of the given verb ("" for any)
+// on or above pos silences analyzer, and counts the hit.
+func (r *Runner) suppressed(analyzer, verb string, pos token.Position) bool {
 	lines := r.directives[pos.Filename]
 	if lines == nil {
 		return false
 	}
 	for _, line := range []int{pos.Line, pos.Line - 1} {
-		if d, ok := lines[line]; ok && d.suppresses(analyzer) {
+		if d, ok := lines[line]; ok && (verb == "" || d.verb == verb) && d.suppresses(analyzer) {
 			d.hits.Add(1)
 			return true
 		}

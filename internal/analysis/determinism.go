@@ -5,67 +5,71 @@ import (
 	"go/token"
 	"go/types"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // AnalyzerDeterminism guards the simulator's bit-identical-replay
 // contract: the same grid must produce byte-identical exports whether it
-// runs serially, on the worker pool, or across processes.
+// runs serially, on the worker pool, or across processes. It checks two
+// things anywhere under internal/, sim/, cmd/, or the module root.
 //
-// It flags map-order dependence: `for … range m` where m is a map,
-// anywhere under internal/, sim/, or cmd/. Go randomizes map iteration
-// order, so any such loop that feeds simulation state or user-visible
-// output is a nondeterminism hazard. The analysis is flow-sensitive: a
-// loop that only collects keys/values into local slices is allowed when,
-// on every control path, each collected slice is sorted — by a direct
-// sort.*/slices.* call or by a module helper that (transitively) sorts
-// its argument — before its first order-sensitive use. Re-collecting
-// into an already-sorted slice restarts the obligation. A range that
+// Map-order dependence. Go randomizes map iteration order, so `for … range
+// m` over a map, or a maps.Keys/maps.Values iterator, that feeds
+// simulation state or user-visible output is a nondeterminism hazard. The
+// analysis is flow-sensitive: a collect origin — a loop that only appends
+// keys/values to local slices, or `x := slices.Collect(maps.Keys(m))` —
+// is allowed when, on every control path, each collected slice is sorted
+// before its first order-sensitive use, by a direct sort.*/slices.* call
+// or by a module helper that (transitively) sorts its argument.
+// Re-collecting into an already-sorted slice restarts the obligation.
+// `slices.Sorted(maps.Keys(m))` is sorted from the start. A range that
 // binds neither key nor value (`for range m`) executes an identical body
 // per element and is order-independent by construction, so it is always
-// allowed. Anything else needs //simlint:ordered -- <justification>.
-// Where the loop is a mechanical candidate, the finding carries a
-// `simlint -fix` rewrite into the collect-then-sort idiom.
+// allowed. Any other map range or maps.Keys/maps.Values use needs
+// //simlint:ordered -- <justification>. Where a map range is a mechanical
+// candidate, the finding carries a `simlint -fix` rewrite into the
+// collect-then-sort idiom.
 //
-// Ambient-nondeterminism sources (time.Now, math/rand) are no longer
-// flagged syntactically here: the detertaint analyzer tracks them
-// interprocedurally and reports only flows that actually reach
-// determinism-sensitive sinks (cache keys, span identity, stats), so
-// reporting-only wall-clock reads need no directive at all.
+// Ambient nondeterminism. Wall-clock (time.Now) and math/rand values are
+// tracked as taint through calls, fields, and closures, and reported only
+// where they reach a key/ID/stats sink; direct math/rand calls are always
+// reported (taint.go). These findings take //simlint:allow determinism.
 var AnalyzerDeterminism = &Analyzer{
 	Name: "determinism",
-	Doc:  "flag map-order-dependent iteration (flow-sensitively) in simulation and export paths",
+	Doc:  "flag map-order dependence (flow-sensitively) and wall-clock/math/rand flows into key/ID/stats sinks",
 	Run:  runDeterminism,
 }
 
 func runDeterminism(p *Pass) {
 	rel := p.Pkg.Rel()
-	mapScope := hasPathPrefix(rel, "internal") || hasPathPrefix(rel, "sim") ||
+	inScope := hasPathPrefix(rel, "internal") || hasPathPrefix(rel, "sim") ||
 		hasPathPrefix(rel, "cmd") || rel == ""
-	if !mapScope {
+	if !inScope {
 		return
 	}
-
+	df := p.runner.detModel(p.Mod)
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					checkMapOrder(p, f, n.Body)
+					checkMapOrder(p, df, f, n.Body)
 				}
 			case *ast.FuncLit:
-				checkMapOrder(p, f, n.Body)
+				checkMapOrder(p, df, f, n.Body)
 			}
 			return true
 		})
 	}
+	reportTaintFlows(p, df)
 }
 
 // detState is the sorted-fact lattice value for one tracked local slice.
 type detState struct {
-	st     uint8 // stPending or stSorted
-	origin *ast.RangeStmt
+	st     uint8    // stPending or stSorted
+	origin ast.Node // the collect origin: a *ast.RangeStmt or *ast.AssignStmt
 }
 
 const (
@@ -78,53 +82,83 @@ const (
 // independent).
 type detFact map[*types.Var]detState
 
-// checkMapOrder runs the flow-sensitive map-iteration analysis over one
+// checkMapOrder runs the flow-sensitive map-order analysis over one
 // function body (nested function literals are analyzed separately and
 // skipped here).
-func checkMapOrder(p *Pass, file *ast.File, body *ast.BlockStmt) {
-	type obligation struct {
-		rng     *ast.RangeStmt
-		targets []*types.Var
+func checkMapOrder(p *Pass, df *detFacts, file *ast.File, body *ast.BlockStmt) {
+	var (
+		origins     map[ast.Node][]*types.Var // collect origin -> the slices it fills in map order
+		order       []ast.Node                // the origins in source order
+		direct      []*ast.RangeStmt          // map ranges that are not pure collect loops
+		directIters []*ast.CallExpr           // maps.Keys/maps.Values calls nothing below accounts for
+		consumed    map[*ast.CallExpr]bool    // iterator calls an origin, a sort, or a keyless range accounts for
+	)
+	addOrigin := func(n ast.Node, targets []*types.Var) {
+		if origins == nil {
+			origins = make(map[ast.Node][]*types.Var)
+		}
+		origins[n] = targets
+		order = append(order, n)
 	}
-	var obligations []obligation
-	var direct []*ast.RangeStmt // map ranges that are not pure collect loops
+	consume := func(it *ast.CallExpr) {
+		if consumed == nil {
+			consumed = make(map[*ast.CallExpr]bool)
+		}
+		consumed[it] = true
+	}
 
+	// The walk is preorder, so a range, assignment, or sorting call marks
+	// the iterator call it consumes before the walk reaches that call.
 	walkSameFunc(body, func(n ast.Node) {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok {
-			return
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			keyless := isBlankOrNil(n.Key) && isBlankOrNil(n.Value)
+			if it := mapIterCall(p.Pkg, n.X); it != nil && keyless {
+				consume(it)
+			}
+			t := p.Pkg.Info.TypeOf(n.X)
+			if keyless || t == nil {
+				return // a keyless range binds no per-element data: order-independent by construction
+			}
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return
+			}
+			if targets := collectTargets(p, n); targets != nil {
+				addOrigin(n, targets)
+			} else {
+				direct = append(direct, n)
+			}
+		case *ast.AssignStmt:
+			if v, it := iterCollect(p.Pkg, n); v != nil {
+				consume(it)
+				addOrigin(n, []*types.Var{v})
+			}
+		case *ast.CallExpr:
+			if isSortingCall(p.Pkg, n) {
+				if it := mapIterCall(p.Pkg, n.Args[0]); it != nil {
+					consume(it) // slices.Sorted(maps.Keys(m)): sorted from the start
+				}
+			} else if mapIterCall(p.Pkg, n) != nil && !consumed[n] {
+				directIters = append(directIters, n)
+			}
 		}
-		t := p.Pkg.Info.TypeOf(rng.X)
-		if t == nil {
-			return
-		}
-		if _, isMap := t.Underlying().(*types.Map); !isMap {
-			return
-		}
-		if isBlankOrNil(rng.Key) && isBlankOrNil(rng.Value) {
-			return // binds no per-element data: order-independent by construction
-		}
-		targets := collectTargets(p, rng)
-		if targets == nil {
-			direct = append(direct, rng)
-			return
-		}
-		obligations = append(obligations, obligation{rng: rng, targets: targets})
 	})
 
 	for _, rng := range direct {
-		p.ReportFix(rng.Pos(), mapRangeFix(p, file, body, rng),
+		p.reportAs("ordered", rng.Pos(), mapRangeFix(p, file, body, rng),
 			"range over map %s: iteration order is randomized; sort the keys first or annotate //simlint:ordered -- <why order is irrelevant>", exprString(rng.X))
 	}
-	if len(obligations) == 0 {
+	for _, it := range directIters {
+		p.reportAs("ordered", it.Pos(), nil,
+			"%s: iteration order is randomized; use slices.Sorted or collect and sort first, or annotate //simlint:ordered -- <why order is irrelevant>", iterString(p.Pkg, it))
+	}
+	if len(origins) == 0 {
 		return
 	}
 
 	tracked := make(map[*types.Var]bool)
-	origins := make(map[*ast.RangeStmt][]*types.Var)
-	for _, ob := range obligations {
-		origins[ob.rng] = ob.targets
-		for _, v := range ob.targets {
+	for _, origin := range order {
+		for _, v := range origins[origin] {
 			tracked[v] = true
 		}
 	}
@@ -133,12 +167,12 @@ func checkMapOrder(p *Pass, file *ast.File, body *ast.BlockStmt) {
 	if g == nil {
 		// Unstructured control flow (goto): fall back to the syntactic
 		// whole-function check — a sort call on the target anywhere after
-		// the loop.
-		for _, ob := range obligations {
-			for _, v := range ob.targets {
-				if !sortedSyntactically(p, body, ob.rng, v) {
-					p.Reportf(ob.rng.Pos(),
-						"range over map %s: iteration order is randomized; sort the keys first or annotate //simlint:ordered -- <why order is irrelevant>", exprString(ob.rng.X))
+		// the origin.
+		for _, origin := range order {
+			for _, v := range origins[origin] {
+				if !sortedSyntactically(p, df, body, origin, v) {
+					p.reportAs("ordered", origin.Pos(), nil,
+						"%s: iteration order is randomized; sort the keys first or annotate //simlint:ordered -- <why order is irrelevant>", originString(p.Pkg, origin))
 					break
 				}
 			}
@@ -146,7 +180,7 @@ func checkMapOrder(p *Pass, file *ast.File, body *ast.BlockStmt) {
 		return
 	}
 
-	flow := &detFlow{p: p, tracked: tracked, origins: origins}
+	flow := &detFlow{p: p, df: df, tracked: tracked, origins: origins}
 	d := dataflow[detFact]{
 		Bottom:   func() detFact { return nil },
 		Entry:    func() detFact { return detFact{} },
@@ -156,7 +190,7 @@ func checkMapOrder(p *Pass, file *ast.File, body *ast.BlockStmt) {
 	}
 	in := d.forward(g)
 
-	violated := make(map[*ast.RangeStmt]bool)
+	violated := make(map[ast.Node]bool)
 	for _, b := range g.blocks {
 		f := in[b]
 		for _, n := range b.nodes {
@@ -164,15 +198,69 @@ func checkMapOrder(p *Pass, file *ast.File, body *ast.BlockStmt) {
 			f = flow.transfer(n, f)
 		}
 	}
-	bad := make([]*ast.RangeStmt, 0, len(violated))
-	for rng := range violated {
-		bad = append(bad, rng)
+	for _, origin := range order {
+		if violated[origin] {
+			p.reportAs("ordered", origin.Pos(), nil,
+				"%s: iteration order is randomized and the collected slice is used on a path where it was not sorted; sort it first or annotate //simlint:ordered -- <why order is irrelevant>", originString(p.Pkg, origin))
+		}
 	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i].Pos() < bad[j].Pos() })
-	for _, rng := range bad {
-		p.Reportf(rng.Pos(),
-			"range over map %s: iteration order is randomized and the collected slice is used on a path where it was not sorted; sort it first or annotate //simlint:ordered -- <why order is irrelevant>", exprString(rng.X))
+}
+
+// mapIterCall returns e as a maps.Keys/maps.Values call, or nil.
+func mapIterCall(pkg *Package, e ast.Expr) *ast.CallExpr {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return nil
 	}
+	fn := calleeFunc(pkg, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "maps" || (fn.Name() != "Keys" && fn.Name() != "Values") {
+		return nil
+	}
+	return call
+}
+
+// iterCollect recognizes the iterator-form collect origin
+// `x := slices.Collect(maps.Keys(m))` (or `=`, or maps.Values) into a
+// local variable, returning the variable and the iterator call.
+func iterCollect(pkg *Package, as *ast.AssignStmt) (*types.Var, *ast.CallExpr) {
+	if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+		return nil, nil
+	}
+	id, ok := as.Lhs[0].(*ast.Ident)
+	if !ok {
+		return nil, nil
+	}
+	v := localVar(pkg, id)
+	if v == nil || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() {
+		return nil, nil // package-level state escapes the function's flow
+	}
+	call, ok := as.Rhs[0].(*ast.CallExpr)
+	if !ok || len(call.Args) != 1 {
+		return nil, nil
+	}
+	fn := calleeFunc(pkg, call)
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "slices" || fn.Name() != "Collect" {
+		return nil, nil
+	}
+	it := mapIterCall(pkg, call.Args[0])
+	if it == nil {
+		return nil, nil
+	}
+	return v, it
+}
+
+// iterString renders a maps.Keys/maps.Values call for messages.
+func iterString(pkg *Package, it *ast.CallExpr) string {
+	return "maps." + calleeFunc(pkg, it).Name() + "(" + exprString(it.Args[0]) + ")"
+}
+
+// originString renders a collect origin for messages.
+func originString(pkg *Package, origin ast.Node) string {
+	if rng, ok := origin.(*ast.RangeStmt); ok {
+		return "range over map " + exprString(rng.X)
+	}
+	_, it := iterCollect(pkg, origin.(*ast.AssignStmt))
+	return "slices.Collect(" + iterString(pkg, it) + ")"
 }
 
 // joinDetFacts is the lattice join: the union of both maps, taking the
@@ -214,32 +302,31 @@ func sortedFactVars(f detFact) []*types.Var {
 // detFlow is the transfer/use-check context of one function's analysis.
 type detFlow struct {
 	p       *Pass
+	df      *detFacts
 	tracked map[*types.Var]bool
-	origins map[*ast.RangeStmt][]*types.Var
+	origins map[ast.Node][]*types.Var
 }
 
 // transfer applies one CFG node to the fact.
 func (d *detFlow) transfer(n ast.Node, f detFact) detFact {
-	switch n := n.(type) {
-	case *ast.RangeStmt:
-		if targets, ok := d.origins[n]; ok {
-			f = maps.Clone(f)
-			if f == nil {
-				f = detFact{}
-			}
-			for _, v := range targets {
-				f[v] = detState{st: stPending, origin: n}
-			}
+	if targets, ok := d.origins[n]; ok {
+		f = maps.Clone(f)
+		if f == nil {
+			f = detFact{}
+		}
+		for _, v := range targets {
+			f[v] = detState{st: stPending, origin: n}
 		}
 		return f
-
+	}
+	switch n := n.(type) {
 	case *ast.AssignStmt:
 		for i, lhs := range n.Lhs {
 			id, ok := lhs.(*ast.Ident)
 			if !ok {
 				continue
 			}
-			v := d.objOf(id)
+			v := localVar(d.p.Pkg, id)
 			if v == nil || !d.tracked[v] {
 				continue
 			}
@@ -296,34 +383,12 @@ func preservesOrderFact(p *Pass, rhs ast.Expr, v *types.Var) bool {
 	return false
 }
 
-// sortTargets resolves a call to the tracked variables it sorts: direct
-// sort.*/slices.* calls, or module helpers that (transitively) sort one
-// of their slice parameters.
+// sortTargets resolves a call to the tracked variables it sorts.
 func (d *detFlow) sortTargets(call *ast.CallExpr) []*types.Var {
-	p := d.p
-	if isSortingCall(p.Pkg, call) {
-		if id, ok := call.Args[0].(*ast.Ident); ok {
-			if v, ok := p.Pkg.Info.Uses[id].(*types.Var); ok && d.tracked[v] {
-				return []*types.Var{v}
-			}
-		}
-		return nil
-	}
-	fn := calleeFunc(p.Pkg, call)
-	if fn == nil {
-		return nil
-	}
-	sorts := p.runner.sorterSummaries(p.Mod)[fn]
-	if sorts == nil {
-		return nil
-	}
 	var out []*types.Var
-	for i, isSorter := range sorts {
-		if !isSorter || i >= len(call.Args) {
-			continue
-		}
+	for _, i := range d.df.sortedArgs(d.p.Pkg, call) {
 		if id, ok := call.Args[i].(*ast.Ident); ok {
-			if v, ok := p.Pkg.Info.Uses[id].(*types.Var); ok && d.tracked[v] {
+			if v, ok := d.p.Pkg.Info.Uses[id].(*types.Var); ok && d.tracked[v] {
 				out = append(out, v)
 			}
 		}
@@ -333,7 +398,7 @@ func (d *detFlow) sortTargets(call *ast.CallExpr) []*types.Var {
 
 // checkUses records a violation for every tracked-and-pending variable
 // the node uses in an order-sensitive position.
-func (d *detFlow) checkUses(n ast.Node, f detFact, violated map[*ast.RangeStmt]bool) {
+func (d *detFlow) checkUses(n ast.Node, f detFact, violated map[ast.Node]bool) {
 	if len(f) == 0 {
 		return
 	}
@@ -345,7 +410,7 @@ func (d *detFlow) checkUses(n ast.Node, f detFact, violated map[*ast.RangeStmt]b
 	case *ast.AssignStmt:
 		for i, lhs := range n.Lhs {
 			if id, ok := lhs.(*ast.Ident); ok {
-				if v := d.objOf(id); v != nil && d.tracked[v] && len(n.Lhs) == len(n.Rhs) {
+				if v := localVar(d.p.Pkg, id); v != nil && d.tracked[v] && len(n.Lhs) == len(n.Rhs) {
 					if d.scanSelfUpdate(n.Rhs[i], v, f, violated) {
 						continue
 					}
@@ -377,7 +442,7 @@ func (d *detFlow) checkUses(n ast.Node, f detFact, violated map[*ast.RangeStmt]b
 // scanSelfUpdate handles `t = append(t, …)` / `t = t[a:b]`: the self
 // reference is exempt, the remaining operands are scanned. Reports true
 // when rhs was such a self-update.
-func (d *detFlow) scanSelfUpdate(rhs ast.Expr, v *types.Var, f detFact, violated map[*ast.RangeStmt]bool) bool {
+func (d *detFlow) scanSelfUpdate(rhs ast.Expr, v *types.Var, f detFact, violated map[ast.Node]bool) bool {
 	if !preservesOrderFact(d.p, rhs, v) {
 		return false
 	}
@@ -397,7 +462,7 @@ func (d *detFlow) scanSelfUpdate(rhs ast.Expr, v *types.Var, f detFact, violated
 }
 
 // scanNode walks a whole statement for order-sensitive uses.
-func (d *detFlow) scanNode(n ast.Node, f detFact, violated map[*ast.RangeStmt]bool) {
+func (d *detFlow) scanNode(n ast.Node, f detFact, violated map[ast.Node]bool) {
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.CallExpr:
@@ -412,7 +477,7 @@ func (d *detFlow) scanNode(n ast.Node, f detFact, violated map[*ast.RangeStmt]bo
 }
 
 // scanExpr is scanNode restricted to an expression operand.
-func (d *detFlow) scanExpr(e ast.Expr, f detFact, violated map[*ast.RangeStmt]bool) {
+func (d *detFlow) scanExpr(e ast.Expr, f detFact, violated map[ast.Node]bool) {
 	if e == nil {
 		return
 	}
@@ -421,7 +486,7 @@ func (d *detFlow) scanExpr(e ast.Expr, f detFact, violated map[*ast.RangeStmt]bo
 
 // identUse records a violation if id refers to a tracked variable whose
 // state is pending.
-func (d *detFlow) identUse(id *ast.Ident, f detFact, violated map[*ast.RangeStmt]bool) {
+func (d *detFlow) identUse(id *ast.Ident, f detFact, violated map[ast.Node]bool) {
 	v, ok := d.p.Pkg.Info.Uses[id].(*types.Var)
 	if !ok || !d.tracked[v] {
 		return
@@ -429,16 +494,6 @@ func (d *detFlow) identUse(id *ast.Ident, f detFact, violated map[*ast.RangeStmt
 	if st, have := f[v]; have && st.st == stPending && st.origin != nil {
 		violated[st.origin] = true
 	}
-}
-
-func (d *detFlow) objOf(id *ast.Ident) *types.Var {
-	if v, ok := d.p.Pkg.Info.Uses[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := d.p.Pkg.Info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	return nil
 }
 
 // isLenCap reports whether call is builtin len(x) or cap(x).
@@ -495,91 +550,69 @@ func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// sorterSummaries computes, once per module, which slice parameters each
-// module function definitely sorts — directly via sort.*/slices.*, or
-// transitively by forwarding the parameter into another sorter. This is
-// what lets the determinism analyzer accept the sorted-in-helper idiom
-// (`collect; sortRecords(rows)`) without a //simlint:ordered directive.
-func (r *Runner) sorterSummaries(mod *Module) map[*types.Func][]bool {
-	r.sorterOnce.Do(func() {
-		type fnDecl struct {
-			pkg  *Package
-			decl *ast.FuncDecl
-			fn   *types.Func
+// updateSorts is the sorter-summary step of the module fixpoint: it marks
+// the parameters n definitely sorts — directly via sort.*/slices.*, or
+// transitively by forwarding the parameter into another sorter — and
+// reports whether a mark was added. This is what lets the map-order check
+// accept the sorted-in-helper idiom (`collect; sortRecords(rows)`)
+// without a //simlint:ordered directive.
+func (df *detFacts) updateSorts(n *cgNode) bool {
+	params := paramVars(n)
+	changed := false
+	walkShallow(n.body, func(m ast.Node) {
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
+			return
 		}
-		var decls []fnDecl
-		for _, pkg := range mod.Pkgs {
-			for _, f := range pkg.Files {
-				for _, d := range f.Decls {
-					fd, ok := d.(*ast.FuncDecl)
-					if !ok || fd.Body == nil {
-						continue
-					}
-					if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-						decls = append(decls, fnDecl{pkg: pkg, decl: fd, fn: fn})
-					}
-				}
+		for _, i := range df.sortedArgs(n.pkg, call) {
+			id, ok := call.Args[i].(*ast.Ident)
+			if !ok {
+				continue
+			}
+			v, _ := n.pkg.Info.Uses[id].(*types.Var)
+			pi := slices.Index(params, v)
+			if pi < 0 {
+				continue
+			}
+			marks := df.sorts[n]
+			if marks == nil {
+				marks = make([]bool, len(params))
+				df.sorts[n] = marks
+			}
+			if !marks[pi] {
+				marks[pi] = true
+				changed = true
 			}
 		}
-		sorters := make(map[*types.Func][]bool)
-		paramsOf := func(d fnDecl) []*types.Var {
-			sig := d.fn.Type().(*types.Signature)
-			out := make([]*types.Var, sig.Params().Len())
-			for i := 0; i < sig.Params().Len(); i++ {
-				out[i] = sig.Params().At(i)
-			}
-			return out
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, d := range decls {
-				params := paramsOf(d)
-				marks := sorters[d.fn]
-				if marks == nil {
-					marks = make([]bool, len(params))
-				}
-				ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					sortedArgs := make(map[int]bool)
-					if isSortingCall(d.pkg, call) {
-						sortedArgs[0] = true
-					} else if callee := calleeFunc(d.pkg, call); callee != nil {
-						for i, is := range sorters[callee] {
-							if is {
-								sortedArgs[i] = true
-							}
-						}
-					}
-					for argIdx := 0; argIdx < len(call.Args); argIdx++ {
-						if !sortedArgs[argIdx] {
-							continue
-						}
-						id, ok := call.Args[argIdx].(*ast.Ident)
-						if !ok {
-							continue
-						}
-						obj, _ := d.pkg.Info.Uses[id].(*types.Var)
-						if obj == nil {
-							continue
-						}
-						for pi, pv := range params {
-							if pv == obj && !marks[pi] {
-								marks[pi] = true
-								changed = true
-							}
-						}
-					}
-					return true
-				})
-				sorters[d.fn] = marks
-			}
-		}
-		r.sorters = sorters
 	})
-	return r.sorters
+	return changed
+}
+
+// sortedArgs returns the indexes of the arguments a call definitely
+// sorts: the first argument of a sort.*/slices.Sort* call, or each
+// argument every module callee (the whole interface fan-out) sorts.
+func (df *detFacts) sortedArgs(pkg *Package, call *ast.CallExpr) []int {
+	if isSortingCall(pkg, call) {
+		return []int{0}
+	}
+	callees := df.g.calleesOf(pkg, call)
+	if len(callees) == 0 {
+		return nil
+	}
+	var out []int
+	for i := range call.Args {
+		all := true
+		for _, c := range callees {
+			if marks := df.sorts[c]; i >= len(marks) || !marks[i] {
+				all = false
+				break
+			}
+		}
+		if all {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // collectTargets returns the local slice variables a range loop purely
@@ -648,30 +681,19 @@ func collectInto(p *Pass, body *ast.BlockStmt, set map[*types.Var]bool) bool {
 
 // sortedSyntactically is the conservative fallback when no CFG is
 // available: a sort.*/slices.* call (or sorter-helper call) naming v
-// anywhere in the function after the range statement.
-func sortedSyntactically(p *Pass, body *ast.BlockStmt, rng *ast.RangeStmt, v *types.Var) bool {
+// anywhere in the function after the collect origin.
+func sortedSyntactically(p *Pass, df *detFacts, body *ast.BlockStmt, origin ast.Node, v *types.Var) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
 		}
 		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < rng.End() {
+		if !ok || call.Pos() < origin.End() {
 			return true
 		}
-		sortsFirst := isSortingCall(p.Pkg, call)
-		var summary []bool
-		if !sortsFirst {
-			if fn := calleeFunc(p.Pkg, call); fn != nil {
-				summary = p.runner.sorterSummaries(p.Mod)[fn]
-			}
-		}
-		for i, arg := range call.Args {
-			id, ok := arg.(*ast.Ident)
-			if !ok || p.Pkg.Info.Uses[id] != v {
-				continue
-			}
-			if (sortsFirst && i == 0) || (i < len(summary) && summary[i]) {
+		for _, i := range df.sortedArgs(p.Pkg, call) {
+			if id, ok := call.Args[i].(*ast.Ident); ok && p.Pkg.Info.Uses[id] == v {
 				found = true
 			}
 		}
@@ -702,21 +724,6 @@ func isBlankOrNil(e ast.Expr) bool {
 	}
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
-}
-
-// isPkgFunc reports whether fun is a selector pkgName.funcName resolving to
-// the package with the given import path suffix.
-func isPkgFunc(p *Pass, fun ast.Expr, pkgPath, funcName string) bool {
-	sel, ok := fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != funcName {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := p.Pkg.Info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == pkgPath
 }
 
 // exprString renders a short source form of simple expressions for

@@ -746,7 +746,7 @@ func shortFinishClass(p *FinishPass, class string) string {
 // reportAt is Reportf for a pre-resolved position (edge positions are
 // recorded as token.Position because they cross FileSets' goroutines).
 func (p *FinishPass) reportAt(pos token.Position, format string, args ...any) {
-	if p.runner.suppressed(p.analyzer.Name, pos) {
+	if p.runner.suppressed(p.analyzer.Name, "", pos) {
 		return
 	}
 	p.findings = append(p.findings, Finding{

@@ -1,6 +1,8 @@
-// Package dtaint is the detertaint analyzer's golden input: taint must
-// travel through returns, fields, closures, and sink parameters, and be
-// laundered by sorting — reporting-only wall reads stay silent.
+// Package dtaint is the determinism analyzer's interprocedural golden
+// input: wall and rand taint must travel through returns, fields,
+// closures, and sink parameters — reporting-only wall reads stay silent —
+// and the maps.Keys/maps.Values iterator form must obey the same
+// collect-then-sort obligation as a map range.
 package dtaint
 
 import (
@@ -66,11 +68,54 @@ func BadClosureFlow() uint64 {
 	return f()
 }
 
-// BadIterOrderIntoHash hashes map keys in iterator order: maps.Keys slips
-// past a range-statement check, so the taint engine must catch it.
+// BadIterOrderIntoHash hashes map keys in iterator order: the collect is
+// a pending origin that is never sorted before its use.
 func BadIterOrderIntoHash(m map[uint64]int) uint64 {
+	keys := slices.Collect(maps.Keys(m)) // want `slices.Collect\(maps.Keys\(m\)\): iteration order is randomized and the collected slice is used on a path where it was not sorted`
+	return xrand.Hash64(keys...)
+}
+
+// BadIterSortedOnOneBranch sorts the collected keys on one path only: the
+// join at the sink is not provably sorted.
+func BadIterSortedOnOneBranch(m map[uint64]int, c bool) uint64 {
+	keys := slices.Collect(maps.Keys(m)) // want `slices.Collect\(maps.Keys\(m\)\): iteration order is randomized and the collected slice is used on a path where it was not sorted`
+	if c {
+		slices.Sort(keys)
+	}
+	return xrand.Hash64(keys...)
+}
+
+// sortWords sorts its argument; the sorter summary learns this.
+func sortWords(ws []uint64) {
+	slices.Sort(ws)
+}
+
+// GoodIterSortedInHelper sorts the collected keys through a module
+// helper: no finding.
+func GoodIterSortedInHelper(m map[uint64]int) uint64 {
 	keys := slices.Collect(maps.Keys(m))
-	return xrand.Hash64(keys...) // want `value derived from map iteration order reaches the xrand.Hash64 seed/ID derivation`
+	sortWords(keys)
+	return xrand.Hash64(keys...)
+}
+
+// BadRangeCollectIntoHash collects with a range loop and hashes the
+// unsorted slice: one defect, so exactly one finding, at the loop.
+func BadRangeCollectIntoHash(m map[uint64]int) uint64 {
+	var keys []uint64
+	for k := range m { // want `range over map m: iteration order is randomized and the collected slice is used on a path where it was not sorted`
+		keys = append(keys, k)
+	}
+	return xrand.Hash64(keys...)
+}
+
+// BadRangeOverValues ranges over the iterator form directly: there is no
+// collect to sort, so the iterator itself is the finding.
+func BadRangeOverValues(m map[uint64]int) int {
+	n := 0
+	for v := range maps.Values(m) { // want `maps.Values\(m\): iteration order is randomized`
+		n = n*31 + v
+	}
+	return n
 }
 
 // GoodSortedKeys launders iterator order with the blessed idiom before
@@ -100,9 +145,8 @@ func BadWallIntoStats(s *RunStats) {
 	s.Elapsed = wallSeed() // want `value derived from the wall clock \(time.Now\) reaches stats accumulation field RunStats.Elapsed`
 }
 
-// GoodMapCountIntoStats accumulates a commutative total over a map:
-// map-order taint is exempt at stats sinks, so only the determinism
-// directive on the loop is needed.
+// GoodMapCountIntoStats accumulates a commutative total over a map: map
+// order is no stats taint, so only the directive on the loop is needed.
 func GoodMapCountIntoStats(s *RunStats, m map[uint64]int) {
 	n := uint64(0)
 	//simlint:ordered -- integer summation is commutative; the total is order-independent
@@ -117,4 +161,22 @@ func GoodMapCountIntoStats(s *RunStats, m map[uint64]int) {
 // the case the old syntactic time.Now check over-reported.
 func GoodReportingWall() string {
 	return time.Now().Format(time.RFC3339)
+}
+
+// BadOrderedOverWallFlow: //simlint:ordered excuses map order only, so it
+// neither hides a wall-clock flow nor counts as a live suppression.
+func BadOrderedOverWallFlow() uint64 {
+	//simlint:ordered -- misapplied: this line iterates no map // want `stale //simlint:ordered directive`
+	return xrand.Hash64(wallSeed()) // want `value derived from the wall clock \(time.Now\) reaches the xrand.Hash64 seed/ID derivation`
+}
+
+// BadAllowOverMapRange: map order yields only to //simlint:ordered, so
+// an allow directive leaves the range reported and is itself stale.
+func BadAllowOverMapRange(m map[uint64]int) int {
+	n := 0
+	//simlint:allow determinism -- misapplied: map order takes //simlint:ordered // want `stale //simlint:allow directive`
+	for _, v := range m { // want `range over map m: iteration order is randomized`
+		n = n*31 + v
+	}
+	return n
 }

@@ -1,5 +1,5 @@
 // Package xrand is the golden stand-in for the module's seeded
-// generators: detertaint treats its Hash*/New functions as seed/ID
+// generators: determinism treats its Hash*/New functions as seed/ID
 // derivation sinks (and skips the package itself, which is allowed to be
 // about randomness).
 package xrand

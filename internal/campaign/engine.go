@@ -79,7 +79,7 @@ type Engine struct {
 	// side channel exists so runJob can return a JobResult that carries no
 	// wall-clock-derived data at all — spans embed wall stamps, and a
 	// result free of them stays usable in downstream hash/identity
-	// derivations without tripping detertaint.
+	// derivations without tripping simlint's determinism analyzer.
 	openSpans map[string]*obs.Span
 
 	sims atomic.Int64
@@ -376,9 +376,9 @@ func (e *Engine) takeSpan(key string) *obs.Span {
 //
 // The returned result carries no Elapsed measurement and no span handle:
 // keeping wall-clock-derived values out of this value means everything
-// built from it stays free of wall taint (detertaint tracks this
-// transitively). Batch callers that want per-job wall cost stamp it
-// themselves, as Run does.
+// built from it stays free of wall taint (simlint's determinism analyzer
+// tracks this transitively). Batch callers that want per-job wall cost
+// stamp it themselves, as Run does.
 func (e *Engine) RunJob(job Job) JobResult {
 	r := e.runJob(job)
 	e.takeSpan(r.Key).End()

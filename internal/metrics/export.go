@@ -5,9 +5,30 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 )
+
+// WriteSeriesFile writes the time series to path: CSV when the name ends
+// in ".csv", JSON Lines otherwise. A failed Close (a lost final flush) is
+// returned like a failed write.
+func WriteSeriesFile(path string, samples []Sample) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".csv") {
+		err = WriteCSV(f, samples)
+	} else {
+		err = WriteJSONL(f, samples)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // WriteJSONL writes the time series as JSON Lines: one Sample object per
 // line, counters cumulative (so the last line's counters are the run's
