@@ -20,8 +20,6 @@
 //     content-addressed cache entries.
 //   - cycletyping: latency/cycle-named fields and parameters are uint64,
 //     preventing silent truncation in latency arithmetic.
-//   - errdiscipline: no panic in internal/ simulation packages outside
-//     must* helpers — failures must flow to the campaign engine as errors.
 //   - lockorder: the lock-acquisition graph across the concurrent layers
 //     (campaign, faultinject, …) is acyclic, and mutex-guarded fields are
 //     never touched on paths where the guard is provably not held.
@@ -41,7 +39,7 @@
 //     a>=b guard, and cycle values never cross signed conversions — the
 //     classic simulator underflow bug class.
 //   - staledirective: a //simlint suppression that suppresses nothing is
-//     itself a finding (and is auto-removable with -fix).
+//     itself a finding.
 //
 // Findings are suppressed only by an explicit source directive with a
 // justification:
@@ -94,7 +92,6 @@ func Analyzers() []*Analyzer {
 		AnalyzerMetricsComplete,
 		AnalyzerCacheKey,
 		AnalyzerCycleTyping,
-		AnalyzerErrDiscipline,
 		AnalyzerLockOrder,
 		AnalyzerUndoComplete,
 		AnalyzerEnumExhaustive,
@@ -115,13 +112,11 @@ func AnalyzerByName(name string) (*Analyzer, bool) {
 	return nil, false
 }
 
-// Finding is one reported violation. Fix, when non-nil, is a mechanical
-// rewrite simlint -fix can apply.
+// Finding is one reported violation.
 type Finding struct {
 	Analyzer string         `json:"analyzer"`
 	Pos      token.Position `json:"pos"`
 	Message  string         `json:"message"`
-	Fix      *Fix           `json:"-"`
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -144,28 +139,14 @@ type Pass struct {
 // Reportf reports a finding at pos unless a matching //simlint directive
 // suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFix(pos, nil, format, args...)
+	p.reportAs("", pos, format, args...)
 }
 
-// ReportFix reports a finding carrying an optional mechanical fix.
-func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
-	p.reportAs("", pos, fix, format, args...)
-}
-
-// reportAs is ReportFix with suppression restricted to directives of one
+// reportAs is Reportf with suppression restricted to directives of one
 // verb ("" accepts either): determinism's map-order findings yield only
 // to //simlint:ordered, its wall/rand findings only to //simlint:allow.
-func (p *Pass) reportAs(verb string, pos token.Pos, fix *Fix, format string, args ...any) {
-	position := p.Mod.Fset.Position(pos)
-	if p.runner.suppressed(p.analyzer.Name, verb, position) {
-		return
-	}
-	p.findings = append(p.findings, Finding{
-		Analyzer: p.analyzer.Name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
+func (p *Pass) reportAs(verb string, pos token.Pos, format string, args ...any) {
+	p.runner.report(&p.findings, p.analyzer.Name, verb, pos, format, args...)
 }
 
 // FinishPass is the module-level phase handed to Analyzer.Finish after
@@ -180,21 +161,7 @@ type FinishPass struct {
 // Reportf reports a module-level finding, subject to the same directive
 // suppression as per-package reports.
 func (p *FinishPass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFix(pos, nil, format, args...)
-}
-
-// ReportFix reports a module-level finding carrying an optional fix.
-func (p *FinishPass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
-	position := p.Mod.Fset.Position(pos)
-	if p.runner.suppressed(p.analyzer.Name, "", position) {
-		return
-	}
-	p.findings = append(p.findings, Finding{
-		Analyzer: p.analyzer.Name,
-		Pos:      position,
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
+	p.runner.report(&p.findings, p.analyzer.Name, "", pos, format, args...)
 }
 
 // directive is one parsed //simlint comment. hits counts how many
@@ -204,7 +171,6 @@ type directive struct {
 	analyzers []string // for allow
 	reason    string   // text after " -- "
 	pos       token.Position
-	end       token.Position // where the comment ends (suppression anchor)
 	comment   *ast.Comment
 	hits      atomic.Int32
 }
@@ -287,6 +253,16 @@ func NewRunner(mod *Module) *Runner {
 	return r
 }
 
+// report appends analyzer's finding at pos to out unless a directive of
+// the given verb ("" for any) suppresses it.
+func (r *Runner) report(out *[]Finding, analyzer, verb string, pos token.Pos, format string, args ...any) {
+	position := r.Mod.Fset.Position(pos)
+	if r.suppressed(analyzer, verb, position) {
+		return
+	}
+	*out = append(*out, Finding{Analyzer: analyzer, Pos: position, Message: fmt.Sprintf(format, args...)})
+}
+
 // suppressed reports whether a directive of the given verb ("" for any)
 // on or above pos silences analyzer, and counts the hit.
 func (r *Runner) suppressed(analyzer, verb string, pos token.Position) bool {
@@ -313,7 +289,7 @@ func (r *Runner) scanDirectives(f *ast.File) {
 			}
 			pos := r.Mod.Fset.Position(c.Pos())
 			end := r.Mod.Fset.Position(c.End())
-			d := &directive{pos: pos, end: end, comment: c}
+			d := &directive{pos: pos, comment: c}
 			body, reason, hasReason := strings.Cut(text, "--")
 			d.reason = strings.TrimSpace(reason)
 			fields := strings.Fields(strings.TrimSpace(body))
@@ -370,10 +346,9 @@ func (r *Runner) scanDirectives(f *ast.File) {
 				if len(unknown) == len(d.analyzers) && len(unknown) > 0 {
 					// The directive suppresses only analyzers that no longer
 					// exist (renamed or removed): it is dead weight, reported
-					// with a removal fix rather than silently ignored.
+					// rather than silently ignored.
 					r.findings = append(r.findings, Finding{Analyzer: "directive", Pos: pos,
-						Message: fmt.Sprintf("//simlint:allow suppresses only analyzers that no longer exist (%s) — remove the directive", strings.Join(unknown, ", ")),
-						Fix:     removeDirectiveFix(c)})
+						Message: fmt.Sprintf("//simlint:allow suppresses only analyzers that no longer exist (%s) — remove the directive", strings.Join(unknown, ", "))})
 					continue
 				}
 				if len(unknown) > 0 {
@@ -475,15 +450,6 @@ func (r *Runner) Run(analyzers []*Analyzer, match func(*Package) bool) []Finding
 	}
 	sortFindings(out)
 	return out
-}
-
-// removeDirectiveFix deletes a //simlint comment whose every target
-// analyzer has been retired from the suite.
-func removeDirectiveFix(c *ast.Comment) *Fix {
-	return &Fix{
-		Message: "remove //simlint directive naming only retired analyzers",
-		Edits:   []TextEdit{{Pos: c.Pos(), End: c.End(), NewText: ""}},
-	}
 }
 
 // sortFindings orders findings by position, breaking ties by analyzer

@@ -75,9 +75,9 @@ type cgEdge struct {
 
 // callGraph is the module-wide graph plus its lookup indexes.
 type callGraph struct {
-	nodes  []*cgNode
-	byFn   map[*types.Func]*cgNode
-	byLit  map[*ast.FuncLit]*cgNode
+	nodes []*cgNode
+	byFn  map[*types.Func]*cgNode
+	byLit map[*ast.FuncLit]*cgNode
 	// implementers maps an interface method to the concrete module
 	// methods a call through it can reach.
 	implementers map[*types.Func][]*types.Func

@@ -28,9 +28,7 @@ import (
 // binds neither key nor value (`for range m`) executes an identical body
 // per element and is order-independent by construction, so it is always
 // allowed. Any other map range or maps.Keys/maps.Values use needs
-// //simlint:ordered -- <justification>. Where a map range is a mechanical
-// candidate, the finding carries a `simlint -fix` rewrite into the
-// collect-then-sort idiom.
+// //simlint:ordered -- <justification>.
 //
 // Ambient nondeterminism. Wall-clock (time.Now) and math/rand values are
 // tracked as taint through calls, fields, and closures, and reported only
@@ -55,10 +53,10 @@ func runDeterminism(p *Pass) {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
 				if n.Body != nil {
-					checkMapOrder(p, df, f, n.Body)
+					checkMapOrder(p, df, n.Body)
 				}
 			case *ast.FuncLit:
-				checkMapOrder(p, df, f, n.Body)
+				checkMapOrder(p, df, n.Body)
 			}
 			return true
 		})
@@ -85,7 +83,7 @@ type detFact map[*types.Var]detState
 // checkMapOrder runs the flow-sensitive map-order analysis over one
 // function body (nested function literals are analyzed separately and
 // skipped here).
-func checkMapOrder(p *Pass, df *detFacts, file *ast.File, body *ast.BlockStmt) {
+func checkMapOrder(p *Pass, df *detFacts, body *ast.BlockStmt) {
 	var (
 		origins     map[ast.Node][]*types.Var // collect origin -> the slices it fills in map order
 		order       []ast.Node                // the origins in source order
@@ -145,11 +143,11 @@ func checkMapOrder(p *Pass, df *detFacts, file *ast.File, body *ast.BlockStmt) {
 	})
 
 	for _, rng := range direct {
-		p.reportAs("ordered", rng.Pos(), mapRangeFix(p, file, body, rng),
+		p.reportAs("ordered", rng.Pos(),
 			"range over map %s: iteration order is randomized; sort the keys first or annotate //simlint:ordered -- <why order is irrelevant>", exprString(rng.X))
 	}
 	for _, it := range directIters {
-		p.reportAs("ordered", it.Pos(), nil,
+		p.reportAs("ordered", it.Pos(),
 			"%s: iteration order is randomized; use slices.Sorted or collect and sort first, or annotate //simlint:ordered -- <why order is irrelevant>", iterString(p.Pkg, it))
 	}
 	if len(origins) == 0 {
@@ -171,7 +169,7 @@ func checkMapOrder(p *Pass, df *detFacts, file *ast.File, body *ast.BlockStmt) {
 		for _, origin := range order {
 			for _, v := range origins[origin] {
 				if !sortedSyntactically(p, df, body, origin, v) {
-					p.reportAs("ordered", origin.Pos(), nil,
+					p.reportAs("ordered", origin.Pos(),
 						"%s: iteration order is randomized; sort the keys first or annotate //simlint:ordered -- <why order is irrelevant>", originString(p.Pkg, origin))
 					break
 				}
@@ -200,7 +198,7 @@ func checkMapOrder(p *Pass, df *detFacts, file *ast.File, body *ast.BlockStmt) {
 	}
 	for _, origin := range order {
 		if violated[origin] {
-			p.reportAs("ordered", origin.Pos(), nil,
+			p.reportAs("ordered", origin.Pos(),
 				"%s: iteration order is randomized and the collected slice is used on a path where it was not sorted; sort it first or annotate //simlint:ordered -- <why order is irrelevant>", originString(p.Pkg, origin))
 		}
 	}

@@ -6,8 +6,7 @@ import "sort"
 // //simlint:ordered or //simlint:allow comment that suppressed no finding
 // in this run — while every analyzer it names actually ran over its file —
 // is dead weight that silently outlives the code it excused, so it is
-// itself a finding. The finding carries a -fix edit that deletes the
-// comment (and the blank line it would leave behind).
+// itself a finding.
 //
 // It must be registered last: its Finish phase reads the hit counters the
 // other analyzers' suppressed findings increment, so every other analyzer
@@ -15,7 +14,7 @@ import "sort"
 // reporting first.
 var AnalyzerStaleDirective = &Analyzer{
 	Name:   "staledirective",
-	Doc:    "flag //simlint suppression directives that no longer suppress any finding (removable with -fix)",
+	Doc:    "flag //simlint suppression directives that no longer suppress any finding",
 	Finish: finishStaleDirectives,
 }
 
@@ -64,11 +63,7 @@ func finishStaleDirectives(p *FinishPass) {
 		if !ranAll {
 			continue // can't call it stale if a target analyzer didn't run
 		}
-		fix := &Fix{
-			Message: "remove stale //simlint directive",
-			Edits:   []TextEdit{{Pos: d.comment.Pos(), End: d.comment.End(), NewText: ""}},
-		}
-		p.ReportFix(d.comment.Pos(), fix,
-			"stale //simlint:%s directive: every analyzer it targets ran here and reported nothing it would suppress; remove it (or simlint -fix will)", d.verb)
+		p.Reportf(d.comment.Pos(),
+			"stale //simlint:%s directive: every analyzer it targets ran here and reported nothing it would suppress; remove it", d.verb)
 	}
 }

@@ -546,7 +546,7 @@ func reportCallFlows(p *Pass, df *detFacts, n *cgNode, env map[*types.Var]taintV
 	if fn := calleeFunc(p.Pkg, call); fn != nil && fn.Pkg() != nil {
 		switch fn.Pkg().Path() {
 		case "math/rand", "math/rand/v2":
-			p.reportAs("allow", call.Pos(), nil, "call into %s: simulator randomness must flow through explicitly seeded internal/xrand generators", fn.Pkg().Path())
+			p.reportAs("allow", call.Pos(), "call into %s: simulator randomness must flow through explicitly seeded internal/xrand generators", fn.Pkg().Path())
 			return
 		}
 	}
@@ -566,7 +566,7 @@ func reportCallFlows(p *Pass, df *detFacts, n *cgNode, env map[*types.Var]taintV
 		if eff == 0 {
 			continue
 		}
-		p.reportAs("allow", a.Pos(), nil, "value derived from %s reaches %s: byte-identical replay breaks; derive it from seeds or cycle counts (or annotate //simlint:allow determinism -- <why this cannot affect results>)",
+		p.reportAs("allow", a.Pos(), "value derived from %s reaches %s: byte-identical replay breaks; derive it from seeds or cycle counts (or annotate //simlint:allow determinism -- <why this cannot affect results>)",
 			eff.describe(), desc)
 	}
 }
@@ -585,7 +585,7 @@ func reportStatsFlows(p *Pass, df *detFacts, n *cgNode, env map[*types.Var]taint
 		if eff == 0 {
 			continue
 		}
-		p.reportAs("allow", as.Pos(), nil, "value derived from %s reaches stats accumulation field %s: serial and parallel runs would export different numbers; derive it from seeds or cycle counts (or annotate //simlint:allow determinism -- <why this cannot affect results>)",
+		p.reportAs("allow", as.Pos(), "value derived from %s reaches stats accumulation field %s: serial and parallel runs would export different numbers; derive it from seeds or cycle counts (or annotate //simlint:allow determinism -- <why this cannot affect results>)",
 			eff.describe(), field)
 	}
 }

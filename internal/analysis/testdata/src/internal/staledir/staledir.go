@@ -4,7 +4,7 @@ package staledir
 import "sort"
 
 // Fine already follows the collect-then-sort idiom; the directive above
-// its loop suppresses nothing and must be reported (and is -fix removable).
+// its loop suppresses nothing and must be reported.
 func Fine(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	//simlint:ordered -- obsolete: the loop below is already the sorted idiom // want `stale //simlint:ordered directive`
@@ -15,7 +15,7 @@ func Fine(m map[string]int) []string {
 	return keys
 }
 
-//simlint:allow errdiscipline -- obsolete: nothing here panics anymore // want `stale //simlint:allow directive`
+//simlint:allow cyclemath -- obsolete: nothing here subtracts cycles anymore // want `stale //simlint:allow directive`
 func quiet() int {
 	return 1
 }
@@ -25,7 +25,21 @@ func retired() int {
 	return 2
 }
 
-// used keeps quiet and retired referenced.
+//simlint:allow errdiscipline -- obsolete: panics are quarantined by the campaign engine at runtime // want `suppresses only analyzers that no longer exist \(errdiscipline\)`
+func retiredPanic() int {
+	return 3
+}
+
+//simlint:allow cyclemath // want `//simlint:allow without a justification`
+func unjustified() int {
+	return 4
+}
+
+// used keeps the helpers referenced.
 var _ = quiet
 
 var _ = retired
+
+var _ = retiredPanic
+
+var _ = unjustified

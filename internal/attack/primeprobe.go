@@ -127,7 +127,6 @@ func RunPrimeProbeL1(pol cpu.Policy, hcfg memsys.Config, secret int) PrimeProbeR
 	m := cpu.New(mcfg, prog, h, pol)
 	m.Run(0)
 	if !m.Halted() {
-		//simlint:allow errdiscipline -- PoC harness invariant: a non-halting attack program is a harness bug, not a recoverable campaign cell
 		panic("attack: prime+probe did not complete")
 	}
 

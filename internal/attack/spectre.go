@@ -181,7 +181,6 @@ func RunSpectreV1(pol cpu.Policy, hcfg memsys.Config, cfg SpectreConfig) Spectre
 	m := cpu.New(mcfg, prog, h, pol)
 	m.Run(0)
 	if !m.Halted() {
-		//simlint:allow errdiscipline -- PoC harness invariant: a non-halting attack program is a harness bug, not a recoverable campaign cell
 		panic("attack: spectre PoC did not complete")
 	}
 

@@ -133,13 +133,11 @@ type Cache struct {
 // bad configuration is a programming error, not a runtime condition.
 func New(cfg Config) *Cache {
 	if cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
-		//simlint:allow errdiscipline -- construction-time geometry validation; a bad config is a programmer error caught before any simulation runs
 		panic(fmt.Sprintf("cache %s: bad geometry %+v", cfg.Name, cfg))
 	}
 	lines := cfg.SizeBytes / arch.LineBytes
 	sets := lines / cfg.Ways
 	if sets <= 0 || lines%cfg.Ways != 0 {
-		//simlint:allow errdiscipline -- construction-time geometry validation; a bad config is a programmer error caught before any simulation runs
 		panic(fmt.Sprintf("cache %s: size %d not divisible into %d ways", cfg.Name, cfg.SizeBytes, cfg.Ways))
 	}
 	idx := cfg.Indexer
@@ -147,11 +145,9 @@ func New(cfg Config) *Cache {
 		idx = ModIndexer{NumSets: sets}
 	}
 	if idx.Sets() != sets {
-		//simlint:allow errdiscipline -- construction-time geometry validation; a bad config is a programmer error caught before any simulation runs
 		panic(fmt.Sprintf("cache %s: indexer built for %d sets, cache has %d", cfg.Name, idx.Sets(), sets))
 	}
 	if cfg.PartitionWays > 0 && cfg.Ways%cfg.PartitionWays != 0 {
-		//simlint:allow errdiscipline -- construction-time geometry validation; a bad config is a programmer error caught before any simulation runs
 		panic(fmt.Sprintf("cache %s: %d ways not divisible by partition %d", cfg.Name, cfg.Ways, cfg.PartitionWays))
 	}
 	return &Cache{
@@ -281,7 +277,7 @@ func (c *Cache) Install(l arch.LineAddr, st arch.CohState, part int, now arch.Cy
 // into the exact way it was evicted from (Section 3.4).
 func (c *Cache) InstallAt(set, way int, l arch.LineAddr, st arch.CohState, now arch.Cycle) (evicted Line) {
 	if got := c.idx.SetIndex(l); got != set {
-		//simlint:allow errdiscipline,hotalloc -- restore-path invariant: a misindexed install would silently corrupt simulated cache state; the Sprintf runs only on that terminal panic path
+		//simlint:allow hotalloc -- restore-path invariant: a misindexed install would silently corrupt simulated cache state; the Sprintf runs only on that terminal panic path
 		panic(fmt.Sprintf("cache %s: install of %v into set %d, but it indexes to %d", c.cfg.Name, l, set, got))
 	}
 	ln := c.line(set, way)

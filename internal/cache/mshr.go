@@ -91,7 +91,6 @@ type MSHRStats struct {
 // NewMSHR creates an MSHR with capacity entries.
 func NewMSHR(name string, capacity int) *MSHR {
 	if capacity <= 0 {
-		//simlint:allow errdiscipline -- construction-time capacity validation; a bad config is a programmer error caught before any simulation runs
 		panic(fmt.Sprintf("mshr %s: capacity %d", name, capacity))
 	}
 	return &MSHR{name: name, cap: capacity, entries: make(map[arch.LineAddr]*MSHREntry, capacity)}

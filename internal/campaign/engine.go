@@ -216,7 +216,6 @@ func (e *PanicError) Error() string { return "worker panic: " + e.Value }
 // the default kind is one sim.RunWorkload invocation.
 func (e *Engine) runAttempt(job Job, cfg sim.Config, faults *faultinject.Injector) (val memoVal, err error) {
 	defer func() {
-		//simlint:allow errdiscipline -- panic isolation boundary: a worker panic becomes a quarantined JobResult with a diagnostic dump, the pool survives
 		if r := recover(); r != nil {
 			err = &PanicError{Value: fmt.Sprint(r), Stack: string(debug.Stack())}
 		}
@@ -225,7 +224,6 @@ func (e *Engine) runAttempt(job Job, cfg sim.Config, faults *faultinject.Injecto
 	case faultinject.KindError:
 		return memoVal{}, fmt.Errorf("campaign: worker executing %s: %w", job, faultinject.ErrInjected)
 	case faultinject.KindPanic:
-		//simlint:allow errdiscipline -- deliberate injected fault: the chaos suite proves this panic is recovered and quarantined, never escapes the pool
 		panic(fmt.Sprintf("faultinject: injected worker panic for %s", job))
 	default:
 		// KindNone and kinds scheduled for other sites: run normally.

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -318,6 +319,108 @@ func TestPanicQuarantine(t *testing.T) {
 	qrecs := eng.Manifest.Quarantined()
 	if len(qrecs) != 1 || qrecs[0].Dump != r.DumpPath {
 		t.Fatalf("manifest quarantine records: %+v", qrecs)
+	}
+}
+
+// TestPanicQuarantineIsolatesCell runs a mixed pool — workload cells
+// plus cells of a registered custom kind — in which one custom cell
+// panics inside its own body (no fault injection). That cell alone must
+// come back quarantined with a dump; every other cell, including its
+// siblings of the same kind, must complete with its normal result.
+func TestPanicQuarantineIsolatesCell(t *testing.T) {
+	const kind = CellKind("square")
+	const boom = 2
+	type payload struct {
+		N int `json:"n"`
+	}
+	dir := t.TempDir()
+	eng := NewEngine()
+	eng.Workers = 4
+	eng.sleep = func(time.Duration) {}
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Cache = cache
+	eng.Manifest = NewManifest(dir, "test")
+	eng.RegisterCell(kind, func(job Job) (sim.Result, json.RawMessage, error) {
+		var p payload
+		if err := json.Unmarshal(job.Cell, &p); err != nil {
+			return sim.Result{}, nil, err
+		}
+		if p.N == boom {
+			panic(fmt.Sprintf("square: model invariant broken at n=%d", p.N))
+		}
+		aux, err := json.Marshal(p.N * p.N)
+		return sim.Result{Workload: job.Workload}, aux, err
+	})
+
+	jobs := smallGrid().Jobs()[:4]
+	var want []sim.Result
+	for _, j := range jobs {
+		cfg := j.Config
+		cfg.Metrics = &sim.Metrics{}
+		res, err := sim.RunWorkload(j.Workload, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res)
+	}
+	simJobs := len(jobs)
+	for n := 0; n < 4; n++ {
+		cell, err := json.Marshal(payload{N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, Job{Kind: kind, Workload: fmt.Sprintf("sq%d", n), Cell: cell})
+	}
+
+	results := eng.Run(jobs)
+	if len(results) != len(jobs) {
+		t.Fatalf("%d results for %d jobs", len(results), len(jobs))
+	}
+	for i, r := range results {
+		if i == simJobs+boom {
+			continue
+		}
+		if r.Err != nil || r.Quarantined {
+			t.Fatalf("job %s: err=%v quarantined=%v, want a normal result", r.Job, r.Err, r.Quarantined)
+		}
+		if i < simJobs {
+			if !reflect.DeepEqual(r.Result, want[i]) {
+				t.Fatalf("job %s: result differs from a direct sim.RunWorkload run", r.Job)
+			}
+			continue
+		}
+		n := i - simJobs
+		if wantAux := fmt.Sprint(n * n); string(r.Aux) != wantAux {
+			t.Fatalf("job %s: aux = %s, want %s", r.Job, r.Aux, wantAux)
+		}
+	}
+
+	r := results[simJobs+boom]
+	if !r.Quarantined || r.Err == nil || r.Attempts != 1 {
+		t.Fatalf("panicking cell: quarantined=%v err=%v attempts=%d, want quarantined after 1 attempt", r.Quarantined, r.Err, r.Attempts)
+	}
+	if qs := Quarantined(results); len(qs) != 1 || qs[0].Key != r.Key {
+		t.Fatalf("Quarantined() = %d results, want only the panicking cell", len(qs))
+	}
+	if len(Failed(results)) != 0 {
+		t.Fatal("quarantined result leaked into Failed()")
+	}
+	data, err := os.ReadFile(r.DumpPath)
+	if err != nil {
+		t.Fatalf("quarantine dump: %v", err)
+	}
+	var dump QuarantineDump
+	if err := json.Unmarshal(data, &dump); err != nil {
+		t.Fatalf("dump unparseable: %v", err)
+	}
+	if dump.Key != r.Key || dump.Job.Kind != kind || !strings.Contains(dump.Panic, "model invariant broken at n=2") || dump.Stack == "" {
+		t.Fatalf("dump missing evidence: key=%q kind=%q panic=%q", dump.Key, dump.Job.Kind, dump.Panic)
+	}
+	if _, _, f, q := eng.Manifest.Counts(); f != 0 || q != 1 {
+		t.Fatalf("manifest counts: failed=%d quarantined=%d, want 0/1", f, q)
 	}
 }
 

@@ -90,7 +90,6 @@ type Directory struct {
 // NewDirectory creates a directory for cores cores (max 64).
 func NewDirectory(cores int) *Directory {
 	if cores <= 0 || cores > 64 {
-		//simlint:allow errdiscipline -- construction-time core-count validation; a bad config is a programmer error caught before any simulation runs
 		panic(fmt.Sprintf("coherence: bad core count %d", cores))
 	}
 	return &Directory{cores: cores, entries: make(map[arch.LineAddr]*entry)}
@@ -111,7 +110,7 @@ func (d *Directory) get(l arch.LineAddr) *entry {
 
 func (d *Directory) checkCore(core int) {
 	if core < 0 || core >= d.cores {
-		//simlint:allow errdiscipline,hotalloc -- protocol invariant: an out-of-range core id means the simulator state is already corrupt; the Sprintf runs only on that terminal panic path
+		//simlint:allow hotalloc -- protocol invariant: an out-of-range core id means the simulator state is already corrupt; the Sprintf runs only on that terminal panic path
 		panic(fmt.Sprintf("coherence: core %d out of range [0,%d)", core, d.cores))
 	}
 }

@@ -148,7 +148,7 @@ func (m *Machine) commit() {
 
 func (m *Machine) freeLQHead(idx int32) {
 	if idx != m.lqHead {
-		//simlint:allow errdiscipline,hotalloc -- pipeline invariant: an out-of-order queue free means corrupt ROB state; the Sprintf runs only on that terminal panic path
+		//simlint:allow hotalloc -- pipeline invariant: an out-of-order queue free means corrupt ROB state; the Sprintf runs only on that terminal panic path
 		panic(fmt.Sprintf("cpu: committing load at LQ %d but head is %d", idx, m.lqHead))
 	}
 	m.lq[idx].valid = false
@@ -159,7 +159,7 @@ func (m *Machine) freeLQHead(idx int32) {
 
 func (m *Machine) freeSQHead(idx int32) {
 	if idx != m.sqHead {
-		//simlint:allow errdiscipline,hotalloc -- pipeline invariant: an out-of-order queue free means corrupt ROB state; the Sprintf runs only on that terminal panic path
+		//simlint:allow hotalloc -- pipeline invariant: an out-of-order queue free means corrupt ROB state; the Sprintf runs only on that terminal panic path
 		panic(fmt.Sprintf("cpu: committing store at SQ %d but head is %d", idx, m.sqHead))
 	}
 	m.sq[idx].valid = false

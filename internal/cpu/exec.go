@@ -218,7 +218,7 @@ func (m *Machine) execute(slot int32) bool {
 			m.memRetry = append(m.memRetry, e.lqIdx)
 		}
 	default:
-		//simlint:allow errdiscipline,hotalloc -- decode invariant: ops are validated at assembly; this panic path (and its string concat) is unreachable in a correct build
+		//simlint:allow hotalloc -- decode invariant: ops are validated at assembly; this panic path (and its string concat) is unreachable in a correct build
 		panic("cpu: unhandled op " + in.Op.String())
 	}
 	return true

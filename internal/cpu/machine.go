@@ -286,7 +286,6 @@ type machineHists struct {
 // New creates a machine. The memory image is initialized from the program.
 func New(cfg Config, prog *isa.Program, hier *memsys.Hierarchy, pol Policy) *Machine {
 	if cfg.ROBSize <= 0 || cfg.LQSize <= 0 || cfg.SQSize <= 0 {
-		//simlint:allow errdiscipline -- construction-time queue-size validation; a bad config is a programmer error caught before any simulation runs
 		panic("cpu: bad queue sizes")
 	}
 	if pol == nil {

@@ -35,7 +35,6 @@ func Assemble(name, src string) (prog *Program, err error) {
 	// The builder reports structural mistakes (duplicate or undefined
 	// labels) by panicking; surface them as errors here.
 	defer func() {
-		//simlint:allow errdiscipline -- assembler API boundary: Builder's documented label-invariant panics become Assemble errors, nothing else can panic here
 		if r := recover(); r != nil {
 			prog = nil
 			err = fmt.Errorf("%s: %v", name, r)

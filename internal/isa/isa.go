@@ -119,7 +119,7 @@ func (c Cond) Eval(a, b uint64) bool {
 	case CondGE:
 		return int64(a) >= int64(b)
 	}
-	//simlint:allow errdiscipline,hotalloc -- exhaustive switch over a closed enum; the panic path and its Sprintf are unreachable for assembled programs
+	//simlint:allow hotalloc -- exhaustive switch over a closed enum; the panic path and its Sprintf are unreachable for assembled programs
 	panic(fmt.Sprintf("isa: bad cond %d", c))
 }
 
@@ -161,7 +161,7 @@ func (in Inst) EvalALU(a, b uint64) uint64 {
 	case AluMix:
 		return hash64(a + b)
 	}
-	//simlint:allow errdiscipline,hotalloc -- exhaustive switch over a closed enum; the panic path and its Sprintf are unreachable for assembled programs
+	//simlint:allow hotalloc -- exhaustive switch over a closed enum; the panic path and its Sprintf are unreachable for assembled programs
 	panic(fmt.Sprintf("isa: bad alu %d", in.Alu))
 }
 

@@ -205,7 +205,6 @@ type Hierarchy struct {
 // New builds the hierarchy.
 func New(cfg Config) *Hierarchy {
 	if cfg.NumCores <= 0 {
-		//simlint:allow errdiscipline -- construction-time core-count validation; a bad config is a programmer error caught before any simulation runs
 		panic("memsys: NumCores must be positive")
 	}
 	h := &Hierarchy{cfg: cfg}

@@ -75,7 +75,6 @@ type Ring struct {
 // NewRing creates a ring holding the last capacity events.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
-		//simlint:allow errdiscipline -- construction-time capacity validation; a bad config is a programmer error caught before any simulation runs
 		panic("trace: capacity must be positive")
 	}
 	return &Ring{buf: make([]Event, 0, capacity)}
@@ -142,28 +141,6 @@ func (r *Ring) Filter(k Kind) []Event {
 		}
 	}
 	return out
-}
-
-// Last returns the newest n retained events in chronological order (all of
-// them when n exceeds the retained count, nil when n <= 0).
-func (r *Ring) Last(n int) []Event {
-	if n > len(r.buf) {
-		n = len(r.buf)
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]Event, 0, n)
-	if len(r.buf) < cap(r.buf) {
-		return append(out, r.buf[len(r.buf)-n:]...)
-	}
-	// Newest event sits just before r.next; take the n events ending there.
-	start := (r.next - n + cap(r.buf)) % cap(r.buf)
-	if start < r.next {
-		return append(out, r.buf[start:r.next]...)
-	}
-	out = append(out, r.buf[start:]...)
-	return append(out, r.buf[:r.next]...)
 }
 
 // WriteTo dumps the retained events.

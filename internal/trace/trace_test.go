@@ -69,35 +69,6 @@ func TestFilterWrapped(t *testing.T) {
 	}
 }
 
-func TestLast(t *testing.T) {
-	r := NewRing(4)
-	if r.Last(2) != nil {
-		t.Fatal("Last on empty ring must return nil")
-	}
-	r.Emit(Event{Seq: 1})
-	r.Emit(Event{Seq: 2})
-	r.Emit(Event{Seq: 3})
-	if got := r.Last(2); len(got) != 2 || got[0].Seq != 2 || got[1].Seq != 3 {
-		t.Fatalf("Last(2) unwrapped: %v", got)
-	}
-	if got := r.Last(10); len(got) != 3 || got[0].Seq != 1 {
-		t.Fatalf("Last beyond retained: %v", got)
-	}
-	for i := 4; i <= 10; i++ {
-		r.Emit(Event{Seq: uint64(i)})
-	}
-	// Retained: 7..10, wrapped.
-	if got := r.Last(3); len(got) != 3 || got[0].Seq != 8 || got[2].Seq != 10 {
-		t.Fatalf("Last(3) wrapped: %v", got)
-	}
-	if got := r.Last(4); len(got) != 4 || got[0].Seq != 7 || got[3].Seq != 10 {
-		t.Fatalf("Last(capacity) wrapped: %v", got)
-	}
-	if r.Last(0) != nil || r.Last(-1) != nil {
-		t.Fatal("Last(<=0) must return nil")
-	}
-}
-
 func TestWriteTo(t *testing.T) {
 	r := NewRing(4)
 	r.Emit(Event{Cycle: 7, Kind: KindLoadIssue, Seq: 9, PC: 3, Line: 5, Arg: 2})

@@ -35,7 +35,6 @@ func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
-		//simlint:allow errdiscipline -- API contract mirrors math/rand: a non-positive bound is a programmer error
 		panic("xrand: Intn with non-positive n")
 	}
 	return int(r.Uint64() % uint64(n))
@@ -44,7 +43,6 @@ func (r *Rand) Intn(n int) int {
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
-		//simlint:allow errdiscipline -- API contract mirrors math/rand: a zero bound is a programmer error
 		panic("xrand: Uint64n with zero n")
 	}
 	return r.Uint64() % n
