@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/specfuzz"
+	"repro/internal/trace"
 )
 
 func cmdGC(args []string) error {
@@ -69,7 +70,7 @@ func cmdReplay(args []string) error {
 	fs := flag.NewFlagSet("campaign replay", flag.ExitOnError)
 	var (
 		depth    = fs.Int("depth", campaign.ReplayDepth, "replay trace capacity in events")
-		traceOut = fs.String("trace-out", "", "write the replay's full event trace to this file (- = stdout)")
+		traceOut = fs.String("trace-out", "", "write the replay's full event trace to this file as Perfetto JSON (- = text to stdout)")
 	)
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -98,24 +99,17 @@ func cmdReplay(args []string) error {
 		fmt.Printf(" (%d dropped: cell out-ran the %d-event capacity; raise -depth)", rep.Dropped, *depth)
 	}
 	fmt.Println()
-	if *traceOut != "" {
-		w := os.Stdout
-		if *traceOut != "-" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			w = f
+	switch *traceOut {
+	case "":
+	case "-":
+		if err := trace.WriteText(os.Stdout, rep.Events); err != nil {
+			return err
 		}
-		for _, e := range rep.Events {
-			if _, err := fmt.Fprintln(w, e.String()); err != nil {
-				return err
-			}
+	default:
+		if err := trace.WriteChromeFile(*traceOut, []trace.Run{{Process: dump.Job.String(), Events: rep.Events}}); err != nil {
+			return err
 		}
-		if *traceOut != "-" {
-			fmt.Fprintf(os.Stderr, "campaign: wrote %d event(s) to %s\n", len(rep.Events), *traceOut)
-		}
+		fmt.Fprintf(os.Stderr, "campaign: wrote %d event(s) as a Perfetto trace to %s\n", len(rep.Events), *traceOut)
 	}
 	if rep.Reproduced {
 		return fmt.Errorf("quarantined panic reproduced")

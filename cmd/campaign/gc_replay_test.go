@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"io/fs"
 	"os"
@@ -84,5 +85,42 @@ func TestGCScopingFlagsRequireGrid(t *testing.T) {
 	}
 	if got := cacheLen(t, cache); got != 0 {
 		t.Errorf("age-only gc left %d entries, want 0", got)
+	}
+}
+
+// TestReplayTraceOutWritesPerfetto: `replay -trace-out <file>` writes the
+// same Perfetto JSON as the other CLIs' -trace-out, one process named
+// after the replayed job, and an unwritable path is an error.
+func TestReplayTraceOutWritesPerfetto(t *testing.T) {
+	dir := t.TempDir()
+	dump := filepath.Join(dir, "dump.json")
+	data := `{"job":{"workload":"gcc","config":{"Policy":"cleanupspec","Instructions":1000}},"key":"k","panic":"p"}`
+	if err := os.WriteFile(dump, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "replay.trace.json")
+	if err := cmdReplay([]string{"-trace-out", out, dump}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &file); err != nil {
+		t.Fatalf("replay trace is not JSON: %v", err)
+	}
+	evs := file.TraceEvents
+	if len(evs) < 2 || evs[0].Name != "process_name" || evs[0].Args["name"] != "gcc/cleanupspec" {
+		t.Fatalf("replay trace: %d events, first %+v; want a gcc/cleanupspec process with events", len(evs), evs)
+	}
+	if err := cmdReplay([]string{"-trace-out", filepath.Join(dir, "missing", "t.json"), dump}); err == nil {
+		t.Fatal("replay into a missing directory returned nil")
 	}
 }

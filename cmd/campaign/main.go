@@ -31,6 +31,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/sim"
 )
 
@@ -116,7 +117,8 @@ gc flags:
 
 replay flags:
   -depth N            replay trace capacity in events (default %d)
-  -trace-out file     write the replay's full event trace ("-" = stdout)
+  -trace-out file     write the replay's full event trace as Perfetto JSON
+                      ("-" = text to stdout)
 
 policies: %s
 `, strings.Join(campaign.GridNames(), "|"), runtime.GOMAXPROCS(0),
@@ -319,15 +321,7 @@ func writeSpans(sink *obs.Sink, jsonlPath, chromePath string) error {
 		fmt.Fprintf(os.Stderr, "campaign: wrote %d span(s) to %s\n", len(spans), jsonlPath)
 	}
 	if chromePath != "" {
-		f, err := os.Create(chromePath)
-		if err != nil {
-			return err
-		}
-		if err := metrics.WriteChromeEvents(f, obs.ChromeEvents(spans, 1)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := trace.WriteChromeFile(chromePath, nil, obs.ChromeEvents(spans, 1)...); err != nil {
 			return err
 		}
 		fmt.Fprintln(os.Stderr, "campaign: wrote Chrome trace to", chromePath)

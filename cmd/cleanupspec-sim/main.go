@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/sim"
 )
 
@@ -84,7 +85,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cleanupspec-sim: wrote %d sample(s) to %s\n", len(col.Samples()), *metricsOut)
 	}
 	if *traceOut != "" {
-		check(writeChromeTrace(*traceOut, *wl, cfg, col.Samples()))
+		check(trace.WriteChromeFile(*traceOut, []trace.Run{{
+			Process: string(cfg.Resolved().Policy) + "/" + *wl,
+			Events:  cfg.Trace.Events(),
+			Samples: col.Samples(),
+		}}))
 		fmt.Fprintf(os.Stderr, "cleanupspec-sim: wrote Perfetto trace to %s\n", *traceOut)
 	}
 	fmt.Printf("workload:            %s\n", r.Workload)
@@ -104,38 +109,8 @@ func main() {
 		r.Traffic.Regular, r.Traffic.Invisible, r.Traffic.Update, r.Traffic.Cleanup, r.Traffic.Writebacks)
 	if ring != nil {
 		fmt.Printf("\ntrace (last %d of %d events):\n", len(ring.Events()), ring.Total())
-		if _, err := ring.WriteTo(os.Stdout); err != nil {
-			check(err)
-		}
+		check(trace.WriteText(os.Stdout, ring.Events()))
 	}
-}
-
-func writeChromeTrace(path, wl string, cfg sim.Config, samples []sim.MetricSample) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = metrics.ExportChromeTrace(f, metrics.ChromeTraceOpts{
-		Process: string(cfg.Resolved().Policy) + "/" + wl,
-		Events:  cfg.Trace.Events(),
-		Samples: samples,
-		Counters: []metrics.CounterSeries{
-			{Name: "ipc", Values: metrics.Rates(samples, "cpu.committed")},
-			{Name: "squash-per-kcycle", Values: scale(metrics.Rates(samples, "cpu.squashes"), 1000)},
-			{Name: "l1d-miss-rate", Values: metrics.RatioDeltas(samples, "l1d.misses", "l1d.accesses")},
-		},
-	})
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-func scale(vals []float64, by float64) []float64 {
-	for i := range vals {
-		vals[i] *= by
-	}
-	return vals
 }
 
 func check(err error) {

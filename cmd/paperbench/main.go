@@ -23,6 +23,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/trace"
 	"repro/sim"
 )
 
@@ -147,7 +148,7 @@ func main() {
 // merged Perfetto trace whose per-policy processes put the two policies'
 // squash / cleanup / exposed-window tracks side by side.
 func exportObservability(wl string, instructions, sampleEvery uint64, metricsOut, traceOut string) error {
-	var runs []metrics.ChromeTraceOpts
+	var runs []trace.Run
 	for _, pol := range []sim.Policy{sim.NonSecure, sim.CleanupSpec} {
 		col := &sim.Metrics{}
 		ring := sim.NewTraceRing(1 << 17)
@@ -166,27 +167,11 @@ func exportObservability(wl string, instructions, sampleEvery uint64, metricsOut
 			}
 			fmt.Fprintf(os.Stderr, "paperbench: wrote %d sample(s) to %s\n", len(samples), path)
 		}
-		runs = append(runs, metrics.ChromeTraceOpts{
-			Process: string(pol) + "/" + wl,
-			Events:  ring.Events(),
-			Samples: samples,
-			Counters: []metrics.CounterSeries{
-				{Name: "ipc", Values: metrics.Rates(samples, "cpu.committed")},
-				{Name: "l1d-miss-rate", Values: metrics.RatioDeltas(samples, "l1d.misses", "l1d.accesses")},
-			},
-		})
+		runs = append(runs, trace.Run{Process: string(pol) + "/" + wl, Events: ring.Events(), Samples: samples})
 	}
 	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
+		if err := trace.WriteChromeFile(traceOut, runs); err != nil {
 			return err
-		}
-		werr := metrics.ExportChromeTraceMulti(f, runs)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
 		}
 		fmt.Fprintln(os.Stderr, "paperbench: wrote Perfetto trace to", traceOut)
 	}

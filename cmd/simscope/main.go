@@ -22,6 +22,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/sim"
 )
 
@@ -145,23 +146,9 @@ func cmdRun(args []string) error {
 		fmt.Printf("wrote %d sample(s) to %s\n", len(samples), *metricsOut)
 	}
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
+		run := trace.Run{Process: string(r.Policy) + "/" + r.Workload, Events: cfg.Trace.Events(), Samples: samples}
+		if err := trace.WriteChromeFile(*traceOut, []trace.Run{run}); err != nil {
 			return err
-		}
-		werr := metrics.ExportChromeTrace(f, metrics.ChromeTraceOpts{
-			Process: string(r.Policy) + "/" + r.Workload,
-			Events:  cfg.Trace.Events(),
-			Samples: samples,
-			Counters: []metrics.CounterSeries{
-				{Name: "ipc", Values: metrics.Rates(samples, "cpu.committed")},
-			},
-		})
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
 		}
 		fmt.Println("wrote Perfetto trace to", *traceOut)
 	}

@@ -7,7 +7,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"os"
 
 	"repro/sim"
 )
@@ -44,7 +43,7 @@ func main() {
 	fmt.Printf("squashes: %.0f, squashed loads dropped in flight: %.0f%%\n\n",
 		res.SquashPKI*float64(res.Instructions)/1000, res.InflightFrac*100)
 	fmt.Println("event trace:")
-	if _, err := ring.WriteTo(os.Stdout); err != nil {
-		log.Fatal(err)
+	for _, e := range ring.Events() {
+		fmt.Println(e)
 	}
 }

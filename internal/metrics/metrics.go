@@ -2,8 +2,9 @@
 // named counters, gauges, and log2-bucketed histograms that the core, the
 // memory hierarchy, and the security policies register into, an interval
 // sampler that snapshots the registry on the core's cycle loop, and
-// exporters for the resulting time series (CSV, JSONL) and for Chrome
-// trace-event JSON loadable in Perfetto.
+// exporters for the resulting time series (CSV, JSONL). The Perfetto
+// export of the series lives in internal/trace, which imports this
+// package, not the other way round.
 //
 // The design constraint is that instrumentation must cost nothing on the
 // simulator's hot path. Three mechanisms keep it that way:

@@ -9,7 +9,8 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/metrics"
+	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // spanJSON is the JSONL line format. Identity fields are deterministic;
@@ -63,7 +64,7 @@ func fromJSON(j spanJSON) (Span, error) {
 			return sp, fmt.Errorf("obs: bad parent id %q: %w", j.Parent, err)
 		}
 	}
-	for _, k := range sortedKeys(j.Attrs) {
+	for _, k := range stats.SortedKeys(j.Attrs) {
 		sp.Attrs = append(sp.Attrs, Attr{K: k, V: j.Attrs[k]})
 	}
 	return sp, nil
@@ -153,12 +154,12 @@ func CanonicalJSONL(spans []Span) ([]byte, error) {
 }
 
 // ChromeEvents converts spans to trace-event records loadable in Perfetto
-// next to the PR 2 simulator tracks: each trace (campaign cell) gets its
+// next to the simulator's own tracks (trace.WriteChromeFile): each trace (campaign cell) gets its
 // own named thread track, spans become complete ("X") events at
 // microsecond granularity. Load the campaign file alongside a simscope
 // -trace-out file and one timeline shows sim-internal and campaign-level
 // activity together.
-func ChromeEvents(spans []Span, pid int) []metrics.ChromeEvent {
+func ChromeEvents(spans []Span, pid int) []trace.ChromeEvent {
 	if pid == 0 {
 		pid = 1
 	}
@@ -177,8 +178,8 @@ func ChromeEvents(spans []Span, pid int) []metrics.ChromeEvent {
 	}
 	sort.Slice(traceIDs, func(i, j int) bool { return traceIDs[i] < traceIDs[j] })
 	tid := make(map[uint64]int, len(traceIDs))
-	var out []metrics.ChromeEvent
-	out = append(out, metrics.ChromeEvent{
+	var out []trace.ChromeEvent
+	out = append(out, trace.ChromeEvent{
 		Name: "process_name", Ph: "M", Pid: pid,
 		Args: map[string]any{"name": "campaign"},
 	})
@@ -188,7 +189,7 @@ func ChromeEvents(spans []Span, pid int) []metrics.ChromeEvent {
 		if name == "" {
 			name = hexID(tr)
 		}
-		out = append(out, metrics.ChromeEvent{
+		out = append(out, trace.ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: pid, Tid: i + 1,
 			Args: map[string]any{"name": name},
 		})
@@ -198,7 +199,7 @@ func ChromeEvents(spans []Span, pid int) []metrics.ChromeEvent {
 		for _, a := range sp.Attrs {
 			args[a.K] = a.V
 		}
-		out = append(out, metrics.ChromeEvent{
+		out = append(out, trace.ChromeEvent{
 			Name: sp.Name, Ph: "X",
 			Ts:  uint64(sp.StartNs / 1000),
 			Dur: uint64(sp.DurNs / 1000),
@@ -207,13 +208,4 @@ func ChromeEvents(spans []Span, pid int) []metrics.ChromeEvent {
 		})
 	}
 	return out
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

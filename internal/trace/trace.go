@@ -1,6 +1,7 @@
-// Package trace provides a low-overhead execution trace for the simulator:
-// a fixed-capacity ring of structured events the machine emits at squashes,
-// memory requests, cleanups, and commits. It exists for debuggability — the
+// Package trace is the simulator's event plane: a low-overhead,
+// fixed-capacity ring of structured events the machine emits at squashes,
+// memory requests, cleanups, and commits, plus the repository's one
+// Chrome trace-event (Perfetto) writer. It exists for debuggability — the
 // first question about any speculative-execution simulator is "what exactly
 // happened around that squash?" — and is off (nil tracer) by default.
 package trace
@@ -108,48 +109,14 @@ func (r *Ring) Events() []Event {
 	return out
 }
 
-// Filter returns the retained events of the given kind, in chronological
-// order. The result is sized exactly from a counting pass over the ring, so
-// filtering never pays append's repeated grow-and-copy churn.
-func (r *Ring) Filter(k Kind) []Event {
-	n := 0
-	for i := range r.buf {
-		if r.buf[i].Kind == k {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Event, 0, n)
-	if len(r.buf) < cap(r.buf) {
-		for i := range r.buf {
-			if r.buf[i].Kind == k {
-				out = append(out, r.buf[i])
-			}
-		}
-		return out
-	}
-	for i := r.next; i < len(r.buf); i++ {
-		if r.buf[i].Kind == k {
-			out = append(out, r.buf[i])
-		}
-	}
-	for i := 0; i < r.next; i++ {
-		if r.buf[i].Kind == k {
-			out = append(out, r.buf[i])
-		}
-	}
-	return out
-}
-
-// WriteTo dumps the retained events.
-func (r *Ring) WriteTo(w io.Writer) (int64, error) {
+// WriteText renders events one per line (Event.String), the plain-text
+// dump behind `cleanupspec-sim -trace N` and `campaign replay -trace-out -`.
+func WriteText(w io.Writer, events []Event) error {
 	var b strings.Builder
-	for _, e := range r.Events() {
+	for _, e := range events {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
+	_, err := io.WriteString(w, b.String())
+	return err
 }

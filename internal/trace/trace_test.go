@@ -36,45 +36,18 @@ func TestRingBelowCapacity(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	r := NewRing(8)
-	r.Emit(Event{Kind: KindSquash, Seq: 1})
-	r.Emit(Event{Kind: KindCommit, Seq: 2})
-	r.Emit(Event{Kind: KindSquash, Seq: 3})
-	sq := r.Filter(KindSquash)
-	if len(sq) != 2 || sq[0].Seq != 1 || sq[1].Seq != 3 {
-		t.Fatalf("filtered %v", sq)
+func TestWriteText(t *testing.T) {
+	evs := []Event{
+		{Cycle: 7, Kind: KindLoadIssue, Seq: 9, PC: 3, Line: 5, Arg: 2},
+		{Cycle: 8, Kind: KindSquash, Seq: 10},
 	}
-}
-
-func TestFilterWrapped(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		k := KindCommit
-		if i%2 == 0 {
-			k = KindSquash
-		}
-		r.Emit(Event{Kind: k, Seq: uint64(i)})
-	}
-	// Retained: seqs 6..9; squashes among them: 6, 8 — chronological.
-	sq := r.Filter(KindSquash)
-	if len(sq) != 2 || sq[0].Seq != 6 || sq[1].Seq != 8 {
-		t.Fatalf("wrapped filter: %v", sq)
-	}
-	if cap(sq) != len(sq) {
-		t.Fatalf("filter over-allocated: cap=%d len=%d", cap(sq), len(sq))
-	}
-	if r.Filter(KindHalt) != nil {
-		t.Fatal("filter with no matches must return nil")
-	}
-}
-
-func TestWriteTo(t *testing.T) {
-	r := NewRing(4)
-	r.Emit(Event{Cycle: 7, Kind: KindLoadIssue, Seq: 9, PC: 3, Line: 5, Arg: 2})
 	var b strings.Builder
-	if _, err := r.WriteTo(&b); err != nil {
+	if err := WriteText(&b, evs); err != nil {
 		t.Fatal(err)
+	}
+	want := evs[0].String() + "\n" + evs[1].String() + "\n"
+	if b.String() != want {
+		t.Fatalf("dump = %q, want %q", b.String(), want)
 	}
 	if !strings.Contains(b.String(), "load-issue") || !strings.Contains(b.String(), "seq=9") {
 		t.Fatalf("dump: %q", b.String())

@@ -488,9 +488,10 @@ func RunMTWorkload(name string, steps int) (MTResult, error) {
 }
 
 // Metrics receives a run's metric registry and interval time series (see
-// Config.Metrics). The underlying types live in internal/metrics; the
-// exporters (WriteJSONL, WriteCSV, ExportChromeTrace) and histogram
-// renderers are reachable through the Registry and Sampler fields.
+// Config.Metrics). The underlying types live in internal/metrics, which
+// also holds the time-series exporters (WriteSeriesFile); the Perfetto
+// export of a run's events and samples is internal/trace's
+// WriteChromeFile.
 type Metrics = metrics.Collector
 
 // MetricSample is one interval snapshot of every counter and gauge.
