@@ -61,17 +61,25 @@ type MSHREntry struct {
 	// gets a new entry and a fresh memory request, as the paper
 	// specifies) but keep consuming capacity until the data returns.
 	Squashed bool
+
+	inUse bool       // allocated and not yet released
+	next  *MSHREntry // free-list link while released
 }
 
 // MSHR models a miss status holding register file with a fixed number of
 // entries. Live entries are keyed by line address; requests to the same
 // line merge onto one entry. Squashed ("zombie") entries are unindexed but
 // still occupy capacity until released at data return.
+//
+// The cap entries are allocated once, with the MSHR. Release puts an entry
+// back on a free list and Allocate reuses it, Waiters capacity included,
+// so a pointer to a released entry aliases a later miss.
 type MSHR struct {
 	name    string
 	cap     int
 	entries map[arch.LineAddr]*MSHREntry
 	zombies int
+	free    *MSHREntry // released entries; live + zombies + free = cap
 
 	// Stats counts MSHR traffic; AttachMetrics binds every field.
 	Stats MSHRStats
@@ -93,7 +101,16 @@ func NewMSHR(name string, capacity int) *MSHR {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("mshr %s: capacity %d", name, capacity))
 	}
-	return &MSHR{name: name, cap: capacity, entries: make(map[arch.LineAddr]*MSHREntry, capacity)}
+	m := &MSHR{name: name, cap: capacity, entries: make(map[arch.LineAddr]*MSHREntry, capacity)}
+	slab := make([]MSHREntry, capacity)
+	waiters := make([]uint64, capacity)
+	for i := range slab {
+		e := &slab[i]
+		e.Waiters = waiters[i : i : i+1]
+		e.next = m.free
+		m.free = e
+	}
+	return m
 }
 
 // Cap returns the configured capacity.
@@ -127,26 +144,35 @@ func (m *MSHR) Allocate(line arch.LineAddr, waiter uint64) (e *MSHREntry, merged
 		m.Stats.Full++
 		return nil, false, false
 	}
-	//simlint:allow hotalloc -- one entry+waiter list per primary miss, bounded by MSHR capacity; amortized over the miss latency, not per cycle
-	e = &MSHREntry{Line: line, Waiters: []uint64{waiter}}
+	e = m.free
+	//simlint:allow undocomplete -- free list of entry storage: which slot backs a miss is not cache state, so a squash has nothing to restore
+	m.free = e.next
+	// Every entry's Waiters has capacity for at least one id (NewMSHR).
+	*e = MSHREntry{Line: line, Waiters: e.Waiters[:1], inUse: true}
+	e.Waiters[0] = waiter
 	m.entries[line] = e
 	m.Stats.Allocs++
 	return e, false, true
 }
 
 // Release frees entry when its data returns: a live entry leaves the index,
-// a zombie releases its held capacity. Safe against the index having been
-// re-populated for the same line by a newer request.
+// a zombie releases its held capacity, and the entry returns to the free
+// list. Safe against the index having been re-populated for the same line
+// by a newer request; releasing an already released entry is a no-op.
 func (m *MSHR) Release(e *MSHREntry) {
+	if !e.inUse {
+		return
+	}
+	e.inUse = false
 	if e.Squashed {
 		if m.zombies > 0 {
 			m.zombies--
 		}
-		return
-	}
-	if cur, ok := m.entries[e.Line]; ok && cur == e {
+	} else if cur, ok := m.entries[e.Line]; ok && cur == e {
 		delete(m.entries, e.Line)
 	}
+	e.next = m.free
+	m.free = e
 }
 
 // SquashWaiter removes waiter from line's live entry. If no waiters remain

@@ -79,10 +79,12 @@ type Stats struct {
 	Flushes      uint64
 }
 
-// Directory is the MESI directory.
+// Directory is the MESI directory. Entries are stored by value, so
+// tracking a line costs a map slot (reused after the line's last holder
+// leaves) rather than a heap object.
 type Directory struct {
 	cores   int
-	entries map[arch.LineAddr]*entry
+	entries map[arch.LineAddr]entry
 
 	Stats Stats
 }
@@ -92,20 +94,19 @@ func NewDirectory(cores int) *Directory {
 	if cores <= 0 || cores > 64 {
 		panic(fmt.Sprintf("coherence: bad core count %d", cores))
 	}
-	return &Directory{cores: cores, entries: make(map[arch.LineAddr]*entry)}
+	return &Directory{cores: cores, entries: make(map[arch.LineAddr]entry)}
 }
 
 // Cores returns the number of cores the directory tracks.
 func (d *Directory) Cores() int { return d.cores }
 
-func (d *Directory) get(l arch.LineAddr) *entry {
-	e, ok := d.entries[l]
-	if !ok {
-		//simlint:allow hotalloc -- one directory entry per tracked line, allocated on first reference and deleted on last eviction; amortized across the line's lifetime
-		e = &entry{owner: -1}
-		d.entries[l] = e
+// get returns l's entry, or an untracked one (no owner, no sharers); the
+// caller stores it back with d.entries[l] = e.
+func (d *Directory) get(l arch.LineAddr) entry {
+	if e, ok := d.entries[l]; ok {
+		return e
 	}
-	return e
+	return entry{owner: -1}
 }
 
 func (d *Directory) checkCore(core int) {
@@ -153,6 +154,7 @@ func (d *Directory) GetS(core int, l arch.LineAddr) Grant {
 func (d *Directory) getS(core int, l arch.LineAddr) Grant {
 	e := d.get(l)
 	bit := uint64(1) << uint(core)
+	var g Grant
 	switch {
 	case e.owner == core:
 		// Already owned locally; nothing to do.
@@ -163,7 +165,7 @@ func (d *Directory) getS(core int, l arch.LineAddr) Grant {
 		return Grant{State: st, Source: SrcShared}
 	case e.owner >= 0:
 		// Remote owner: downgrade to S, both become sharers.
-		g := Grant{
+		g = Grant{
 			State: arch.Shared,
 			//simlint:allow hotalloc -- one-element downgrade list per remote-owned GetS; bounded by the (rare) cross-core sharing event, not per cycle
 			Downgrades:  []int{e.owner},
@@ -177,15 +179,16 @@ func (d *Directory) getS(core int, l arch.LineAddr) Grant {
 		e.sharers = (1 << uint(e.owner)) | bit
 		e.owner = -1
 		e.dirty = false
-		return g
 	case e.sharers != 0:
 		e.sharers |= bit
-		return Grant{State: arch.Shared, Source: SrcShared}
+		g = Grant{State: arch.Shared, Source: SrcShared}
 	default:
 		// Sole copy: grant Exclusive.
 		e.owner = core
-		return Grant{State: arch.Exclusive, Source: SrcMemory}
+		g = Grant{State: arch.Exclusive, Source: SrcMemory}
 	}
+	d.entries[l] = e
+	return g
 }
 
 // GetSSafe is the paper's safe read: identical to GetS unless it would
@@ -232,6 +235,7 @@ func (d *Directory) GetX(core int, l arch.LineAddr) Grant {
 	e.owner = core
 	e.dirty = true
 	e.sharers = 0
+	d.entries[l] = e
 	return g
 }
 
@@ -253,7 +257,9 @@ func (d *Directory) Evict(core int, l arch.LineAddr, dirty bool) {
 	e.sharers &^= 1 << uint(core)
 	if e.owner < 0 && e.sharers == 0 {
 		delete(d.entries, l)
+		return
 	}
+	d.entries[l] = e
 }
 
 // Flush implements clflush's coherence action: every copy of l anywhere is

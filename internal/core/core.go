@@ -13,7 +13,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/cache"
@@ -65,17 +65,27 @@ type CleanupSpec struct {
 	Stats Stats
 
 	restoreLat *metrics.Histogram // nil unless AttachMetrics was called
+
+	// Per-squash scratch, reused across squashes: the cleanup batch and
+	// cleanupBatch's two line sets (cleared on entry).
+	batch            []CleanupOp
+	installedByBatch map[arch.LineAddr]bool
+	batchRestored    map[arch.LineAddr]bool
 }
 
 // New returns a CleanupSpec policy with the paper's configuration.
 func New() *CleanupSpec {
-	return &CleanupSpec{cfg: Config{UseGetSSafe: true}}
+	return NewWithConfig(Config{UseGetSSafe: true})
 }
 
 // NewWithConfig returns a CleanupSpec policy with explicit knobs (ablations
 // and security tests).
 func NewWithConfig(cfg Config) *CleanupSpec {
-	return &CleanupSpec{cfg: cfg}
+	return &CleanupSpec{
+		cfg:              cfg,
+		installedByBatch: make(map[arch.LineAddr]bool),
+		batchRestored:    make(map[arch.LineAddr]bool),
+	}
 }
 
 // HierarchyConfig converts a base hierarchy configuration into the one
@@ -162,18 +172,21 @@ func (p *CleanupSpec) OnSquash(m *cpu.Machine, squashed []cpu.SquashedLoad) cpu.
 	// which is why it dominates Figure 14's per-squash stall.
 	inflightWait := m.OlderInflightWait()
 
-	// Partition the squashed loads.
-	var ops []cpu.SquashedLoad
-	for _, sl := range squashed {
+	// Partition the squashed loads: executed ones with fills form the
+	// cleanup batch.
+	batch := p.batch[:0]
+	for i := range squashed {
+		sl := &squashed[i]
 		switch {
 		case sl.Inflight:
 			p.Stats.DroppedInflight++
 		case sl.Completed && (sl.SEFE.L1Fill || sl.SEFE.L2Fill):
-			//simlint:allow hotalloc -- cleanup worklist, bounded by the LQ size and built once per squash event, not per cycle
-			ops = append(ops, sl)
+			//simlint:allow hotalloc -- policy-owned scratch: grows to the largest squash (at most the LQ size) once, then is reused
+			batch = append(batch, CleanupOp{Line: sl.Line, SEFE: sl.SEFE, FillOrder: sl.FillOrder})
 		}
 	}
-	if len(ops) == 0 {
+	p.batch = batch
+	if len(batch) == 0 {
 		p.Stats.CleanupFreeSquashes++
 		cost := cpu.SquashCost{InflightWait: inflightWait}
 		if p.cfg.ConstantTimeCleanup > 0 {
@@ -183,12 +196,6 @@ func (p *CleanupSpec) OnSquash(m *cpu.Machine, squashed []cpu.SquashedLoad) cpu.
 	}
 
 	// (2) Undo the executed transient changes.
-	//simlint:allow hotalloc -- one exact-capacity batch per squash with executed transient loads; per-squash, bounded by the LQ size
-	batch := make([]CleanupOp, 0, len(ops))
-	for _, sl := range ops {
-		//simlint:allow hotalloc -- capacity was reserved on the line above; this append never grows
-		batch = append(batch, CleanupOp{Line: sl.Line, SEFE: sl.SEFE, FillOrder: sl.FillOrder})
-	}
 	nInval, restoreFinish := p.cleanupBatch(h, coreID, m.OwnerID(), batch, m.LineReferencedByLiveLoad, m.Now())
 
 	// (3) Stall: invalidations pipeline at one per cycle and overlap with
@@ -230,18 +237,16 @@ func (p *CleanupSpec) CleanupBatch(h *memsys.Hierarchy, coreID int, ops []Cleanu
 }
 
 func (p *CleanupSpec) cleanupBatch(h *memsys.Hierarchy, coreID, owner int, ops []CleanupOp, live func(arch.LineAddr) bool, now arch.Cycle) (nInval int, restoreFinish arch.Cycle) {
-	//simlint:allow hotalloc -- sort.Slice boxes the slice and closure once per cleanup batch; per-squash cost on a worklist bounded by the LQ size
-	sort.Slice(ops, func(i, j int) bool { return ops[i].FillOrder > ops[j].FillOrder })
+	slices.SortFunc(ops, laterFillFirst)
 
-	//simlint:allow hotalloc -- per-squash scratch map sized to the cleanup batch; squashes are events, not cycles
-	installedByBatch := make(map[arch.LineAddr]bool, len(ops))
+	installedByBatch, batchRestored := p.installedByBatch, p.batchRestored
+	clear(installedByBatch)
+	clear(batchRestored)
 	for _, op := range ops {
 		if op.SEFE.L1Fill {
 			installedByBatch[op.Line] = true
 		}
 	}
-	//simlint:allow hotalloc -- per-squash scratch map; holds at most one entry per restored victim in the batch
-	batchRestored := make(map[arch.LineAddr]bool)
 
 	// nRestores is a pipelining offset in cycles (one new restore starts
 	// per cycle), so it carries the cycle type directly — no signed->Cycle
@@ -297,6 +302,17 @@ func (p *CleanupSpec) cleanupBatch(h *memsys.Hierarchy, coreID, owner int, ops [
 		}
 	}
 	return nInval, restoreFinish
+}
+
+// laterFillFirst orders cleanup operations by descending fill order.
+func laterFillFirst(a, b CleanupOp) int {
+	switch {
+	case a.FillOrder > b.FillOrder:
+		return -1
+	case a.FillOrder < b.FillOrder:
+		return 1
+	}
+	return 0
 }
 
 // StorageBitsPerCore returns the SEFE storage CleanupSpec adds per core for

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -339,5 +341,28 @@ func TestTracerDetachedCostsNothingVisible(t *testing.T) {
 	m.Run(0)
 	if !m.Halted() {
 		t.Fatal("did not halt")
+	}
+}
+
+// TestDispatchResetsEveryROBField pins ROBEntry's field list. dispatch
+// recycles a slot by assigning each field in place rather than through a
+// struct literal, so a field added to ROBEntry must also be reset there
+// (then listed here), or a stale value leaks from the slot's last
+// occupant.
+func TestDispatchResetsEveryROBField(t *testing.T) {
+	want := []string{
+		"valid", "seq", "pc", "inst", "state",
+		"src1Ready", "src2Ready", "src1Val", "src2Val", "pendSrcs", "result",
+		"hasRd", "oldRat", "oldRatSeq", "consumers",
+		"isCtrl", "predTaken", "predTarget", "predState", "snapshot", "hasPred",
+		"lqIdx", "sqIdx", "doneAt", "wakeDeferred", "mispredicted",
+	}
+	rt := reflect.TypeOf(ROBEntry{})
+	var got []string
+	for i := 0; i < rt.NumField(); i++ {
+		got = append(got, rt.Field(i).Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ROBEntry fields changed:\n got %v\nwant %v\nreset the new field in dispatch, then update this list", got, want)
 	}
 }

@@ -367,11 +367,7 @@ func (m *Machine) tryIssueLoad(idx int32) bool {
 		// Remaining modes issue a plain GetS; delay-based modes were
 		// already handled before reaching the issue path.
 	}
-	seq := lq.Seq
-	//simlint:allow hotalloc -- one completion closure per issued load miss, freed when the fill returns; removing it requires widening the memsys callback contract (see ROADMAP hot-loop program)
-	txn, ok := m.hier.Load(m.cfg.CoreID, lq.Line, m.now, m.waiterID(seq), opts, func(t *memsys.Txn) {
-		m.onLoadData(idx, seq, t)
-	})
+	txn, ok := m.hier.Load(m.cfg.CoreID, lq.Line, m.now, m.waiterID(lq.Seq), opts, m.onLoad)
 	if !ok {
 		return false // MSHR full
 	}
@@ -380,6 +376,7 @@ func (m *Machine) tryIssueLoad(idx int32) bool {
 		m.Stats.LoadDelayStalls++
 		return false
 	}
+	txn.Ref = idx
 	lq.Issued = true
 	lq.IssuedAt = m.now
 	lq.txn = txn
@@ -396,12 +393,18 @@ func (m *Machine) tryIssueLoad(idx int32) bool {
 	return true
 }
 
-// onLoadData is the memory-system completion callback.
-func (m *Machine) onLoadData(idx int32, seq uint64, t *memsys.Txn) {
+// onLoadData is the memory-system completion callback, bound once in New
+// as m.onLoad; t.Ref is the waiting load's LQ index.
+func (m *Machine) onLoadData(t *memsys.Txn) {
+	idx := t.Ref
 	lq := &m.lq[idx]
-	if !lq.valid || lq.Seq != seq {
+	if !lq.valid || lq.txn != t {
 		return // squashed while in flight (callback should be detached, but be safe)
 	}
+	// The hierarchy recycles t once this callback returns: a pointer
+	// kept here would alias another load's transaction, and a later
+	// squash of this load would detach that load's callback.
+	lq.txn = nil
 	if t.Dropped {
 		// Dropped fills belong to squashed loads only; a live load
 		// never receives a dropped response because squash detaches
@@ -593,22 +596,23 @@ func (m *Machine) memOrderSquash(vSlot int32) {
 // handed to the policy, and fetch restarts at redirectPC after the redirect
 // penalty plus the policy's cleanup stall.
 func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) {
-	// Collect squashed loads in program order first (oldest to youngest).
-	var squashedLoads []SquashedLoad
+	// Collect squashed loads in program order first (oldest to youngest)
+	// into the machine-owned scratch, whose capacity is the LQ size.
+	squashedLoads := m.squashed[:0]
 	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
 		lq := &m.lq[i]
 		if !lq.valid || lq.Seq < cutoff {
 			continue
 		}
-		sl := SquashedLoad{
+		squashedLoads = squashedLoads[:len(squashedLoads)+1]
+		sl := &squashedLoads[len(squashedLoads)-1]
+		*sl = SquashedLoad{
 			Seq: lq.Seq, Line: lq.Line, HasAddr: lq.HasAddr,
 			Issued: lq.Issued, Forwarded: lq.Forwarded,
 			Completed: lq.Completed, Level: lq.Level,
 			SEFE: lq.SEFE, FillOrder: lq.FillOrder,
 			Inflight: lq.Issued && !lq.Completed && !lq.Forwarded,
 		}
-		//simlint:allow hotalloc -- per-squash worklist bounded by the LQ size; squashes are events, not cycles
-		squashedLoads = append(squashedLoads, sl)
 		if lq.Issued && !lq.Forwarded && m.hists.loadToSquash != nil {
 			//simlint:allow cyclemath -- IssuedAt was recorded from m.now when the load issued; the squash observes a later cycle
 			m.hists.loadToSquash.Observe(uint64(m.now - lq.IssuedAt))
@@ -626,6 +630,7 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 		// Detach the in-flight transaction and optionally drop its fill.
 		if lq.txn != nil {
 			lq.txn.OnDone = nil
+			lq.txn = nil
 		}
 		if sl.Inflight && m.pol.DropSquashedInflight() {
 			m.hier.SquashLoad(m.cfg.CoreID, lq.Line, m.waiterID(lq.Seq))
@@ -679,7 +684,8 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 	m.fetchHead = 0
 
 	// Classify the squashed loads (Table 5).
-	for _, sl := range squashedLoads {
+	for i := range squashedLoads {
+		sl := &squashedLoads[i]
 		switch {
 		case !sl.Issued || sl.Forwarded:
 			m.Stats.SquashedLoadNI++

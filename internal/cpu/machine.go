@@ -258,6 +258,13 @@ type Machine struct {
 	fenceSeqs []uint64  // uncommitted fences, ascending
 	ctrlSeqs  []uint64  // unresolved squashable control insts, ascending
 
+	// onLoad is onLoadData bound once, the completion callback of every
+	// load this machine issues (the Txn's Ref names the LQ entry).
+	onLoad func(*memsys.Txn)
+	// squashed is doSquash's worklist, handed to Policy.OnSquash; its
+	// capacity is the LQ size, so a squash never grows it.
+	squashed []SquashedLoad
+
 	lastCommitCycle arch.Cycle
 	cycleBase       arch.Cycle
 	committedBase   uint64
@@ -292,17 +299,20 @@ func New(cfg Config, prog *isa.Program, hier *memsys.Hierarchy, pol Policy) *Mac
 		pol = NonSecure{}
 	}
 	m := &Machine{
-		cfg:     cfg,
-		prog:    prog,
-		mem:     isa.NewMemory(),
-		hier:    hier,
-		bp:      branch.New(cfg.Branch),
-		pol:     pol,
-		rob:     make([]ROBEntry, cfg.ROBSize),
-		lq:      make([]LQEntry, cfg.LQSize),
-		sq:      make([]sqEntry, cfg.SQSize),
-		fetchPC: prog.Entry,
+		cfg:      cfg,
+		prog:     prog,
+		mem:      isa.NewMemory(),
+		hier:     hier,
+		bp:       branch.New(cfg.Branch),
+		pol:      pol,
+		rob:      make([]ROBEntry, cfg.ROBSize),
+		lq:       make([]LQEntry, cfg.LQSize),
+		sq:       make([]sqEntry, cfg.SQSize),
+		fetchPC:  prog.Entry,
+		fetchBuf: make([]fetchSlot, 0, fetchBufSize(cfg)),
+		squashed: make([]SquashedLoad, 0, cfg.LQSize),
 	}
+	m.onLoad = m.onLoadData
 	m.mem.LoadProgram(prog)
 	for i := range m.rat {
 		m.rat[i] = -1
@@ -524,28 +534,38 @@ func truncSeqsAbove(seqs []uint64, bound uint64) []uint64 {
 
 // --- fetch ---
 
-// fetch fills the fetch buffer along the predicted path.
+// fetchBufSize is the fetch buffer's fixed capacity: fetch runs ahead of
+// dispatch by up to two fetch groups.
+func fetchBufSize(cfg Config) int { return cfg.FetchWidth * 2 }
+
+// fetch fills the fetch buffer along the predicted path. Each slot is
+// built in place in the buffer's preallocated backing array.
 func (m *Machine) fetch() {
 	if m.halted || m.fetchHalted || m.now < m.fetchStallUntil {
 		return
 	}
 	if m.fetchHead > 0 {
-		// Compact the dispatch-consumed prefix instead of re-slicing it
-		// away: advancing the slice start (fetchBuf = fetchBuf[1:]) leaks
-		// capacity in front of the window, so the append below would
-		// reallocate the buffer at a steady rate forever.
+		// Compact the dispatch-consumed prefix to the front of the
+		// fixed backing array.
 		n := copy(m.fetchBuf, m.fetchBuf[m.fetchHead:])
 		m.fetchBuf = m.fetchBuf[:n]
 		m.fetchHead = 0
 	}
-	for len(m.fetchBuf) < m.cfg.FetchWidth*2 {
+	for len(m.fetchBuf) < fetchBufSize(m.cfg) {
 		// Instruction cache: a miss stalls the front end.
 		if ready := m.hier.IFetch(m.cfg.CoreID, m.fetchPC, m.now); ready > m.now {
 			m.fetchStallUntil = ready
 			return
 		}
-		inst := m.prog.Fetch(m.fetchPC)
-		fs := fetchSlot{pc: m.fetchPC, inst: inst}
+		m.fetchBuf = m.fetchBuf[:len(m.fetchBuf)+1]
+		fs := &m.fetchBuf[len(m.fetchBuf)-1]
+		fs.pc = m.fetchPC
+		fs.inst = m.prog.Fetch(m.fetchPC)
+		fs.predTaken = false
+		fs.predState = branch.PredState{}
+		fs.snapshot = branch.Snapshot{}
+		fs.hasPred = false
+		inst := &fs.inst
 		switch inst.Op {
 		case isa.OpBranch:
 			fs.snapshot = m.bp.Checkpoint()
@@ -569,8 +589,6 @@ func (m *Machine) fetch() {
 		default:
 			fs.predNext = m.fetchPC + 1
 		}
-		//simlint:allow hotalloc -- fetch buffer capacity tops out at 2x fetch width and is reused across cycles via head compaction in fetch()
-		m.fetchBuf = append(m.fetchBuf, fs)
 		m.fetchPC = fs.predNext
 		m.Stats.Fetched++
 		if inst.Op == isa.OpHalt {
@@ -591,7 +609,7 @@ func (m *Machine) dispatch() {
 		if m.robCount >= int32(m.cfg.ROBSize) {
 			return
 		}
-		fs := m.fetchBuf[m.fetchHead]
+		fs := &m.fetchBuf[m.fetchHead]
 		op := fs.inst.Op
 		if op == isa.OpLoad && m.lqCount >= int32(m.cfg.LQSize) {
 			return
@@ -605,18 +623,22 @@ func (m *Machine) dispatch() {
 		m.robTail = (m.robTail + 1) % int32(m.cfg.ROBSize)
 		m.robCount++
 		seq := m.nextSeq()
+		// Reset every field of the recycled slot in place (a struct
+		// literal would be built in a temporary and copied, twice the
+		// memory traffic); TestDispatchResetsEveryROBField counts them.
 		e := &m.rob[slot]
-		*e = ROBEntry{
-			valid: true, seq: seq, pc: fs.pc, inst: fs.inst,
-			state: stDispatched, oldRat: -1, lqIdx: -1, sqIdx: -1,
-			predTaken: fs.predTaken, predTarget: fs.predNext,
-			predState: fs.predState, snapshot: fs.snapshot, hasPred: fs.hasPred,
-			src1Ready: true, src2Ready: true,
-			// Recycle the slot's consumer list: a fresh nil here would
-			// throw away its capacity and make every bindSource append
-			// allocate anew for the lifetime of the run.
-			consumers: e.consumers[:0],
-		}
+		e.valid, e.seq, e.pc, e.inst, e.state = true, seq, fs.pc, fs.inst, stDispatched
+		e.src1Ready, e.src2Ready = true, true
+		e.src1Val, e.src2Val, e.pendSrcs, e.result = 0, 0, 0, 0
+		e.hasRd, e.oldRat, e.oldRatSeq = false, -1, 0
+		// Recycle the slot's consumer list: a fresh nil here would throw
+		// away its capacity and make every bindSource append allocate
+		// anew for the lifetime of the run.
+		e.consumers = e.consumers[:0]
+		e.isCtrl, e.predTaken, e.predTarget = false, fs.predTaken, fs.predNext
+		e.predState, e.snapshot, e.hasPred = fs.predState, fs.snapshot, fs.hasPred
+		e.lqIdx, e.sqIdx = -1, -1
+		e.doneAt, e.wakeDeferred, e.mispredicted = 0, false, false
 
 		// Source operands.
 		needs1, needs2 := srcNeeds(fs.inst)

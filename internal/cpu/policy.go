@@ -98,7 +98,8 @@ type Policy interface {
 	OnLoadCommitted(m *Machine, e *LQEntry)
 	// OnSquash is called after architectural rollback with the squashed
 	// loads in program order; it performs any state cleanup and returns
-	// the front-end stall.
+	// the front-end stall. The slice is the machine's scratch, reused by
+	// the next squash: it is valid only for the duration of the call.
 	OnSquash(m *Machine, squashed []SquashedLoad) SquashCost
 	// DropSquashedInflight reports whether in-flight fills of squashed
 	// loads must be dropped (CleanupSpec) or may land (non-secure).

@@ -9,6 +9,12 @@
 // semantics for free: when a squash arrives while the request is in flight,
 // the entry is marked stale and the returning data is dropped without any
 // cache change (the "inflight" class of Figure 15).
+//
+// Like the hardware it models, the hierarchy keeps a fixed working set in
+// steady state: transactions, MSHR entries and directory entries are
+// recycled rather than allocated per access. A *Txn returned by Load
+// belongs to the hierarchy and is recycled once it completes (see Txn),
+// so callers must not hold it past its OnDone callback.
 package memsys
 
 import (
@@ -138,7 +144,18 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-// Txn is one in-flight (or completed) load transaction.
+// Txn is one in-flight load transaction.
+//
+// Lifetime: the hierarchy owns every Txn. Load hands out a recycled one,
+// and Tick completes it: the fill is applied, OnDone (if set) runs, and
+// the Txn goes back to the hierarchy's free list as soon as OnDone
+// returns. The next Load may reuse it. A caller therefore reads the
+// completion fields (Level, DoneAt, Dropped, SEFE) inside OnDone and
+// drops its pointer there; a pointer kept past completion aliases some
+// later load's transaction. Fields set at issue (Level, DoneAt) may be
+// read as soon as Load returns. A LevelDelayed reply never enters the
+// pending queue: it is recycled at once and valid only until the next
+// Load.
 type Txn struct {
 	Core    int
 	Line    arch.LineAddr
@@ -154,6 +171,10 @@ type Txn struct {
 	Owner   int  // hardware thread within the core (SMT)
 	Dropped bool // fill dropped because every waiter was squashed
 	Primary bool // this txn owns the MSHR entry and applies the fill
+	// Ref is the caller's tag (the CPU stores the load's LQ index), so
+	// one OnDone callback bound at construction serves every load. The
+	// hierarchy never reads it and zeroes it on reuse.
+	Ref int32
 	// OnDone is invoked when the transaction completes (possibly as
 	// dropped). The CPU clears it when the waiting load is squashed.
 	OnDone func(*Txn)
@@ -162,6 +183,7 @@ type Txn struct {
 	l2entry *cache.MSHREntry // L2 MSHR entry (primary, memory-bound only)
 	heapIdx int
 	heapSeq uint64
+	next    *Txn // free-list link while recycled
 }
 
 // Stats counts hierarchy-level events.
@@ -197,6 +219,7 @@ type Hierarchy struct {
 
 	pending txnHeap
 	seqGen  uint64
+	free    *Txn // completed transactions awaiting reuse
 
 	Traffic Traffic
 	Stats   Stats
@@ -358,18 +381,27 @@ type LoadOpts struct {
 // completed transaction with Level == LevelDelayed and does not touch any
 // state.
 func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint64, opts LoadOpts, onDone func(*Txn)) (*Txn, bool) {
+	// Take a zeroed transaction from the free list; the pool grows only
+	// while the number of loads in flight reaches a new peak.
+	t := h.free
+	if t == nil {
+		//simlint:allow hotalloc -- grows the recycled pool to the peak number of loads in flight (bounded by the cores' LQ sizes); steady state reuses completed transactions
+		t = &Txn{}
+	} else {
+		//simlint:allow undocomplete -- free list of transaction storage: which Txn backs a load is not cache state, so a squash has nothing to restore
+		h.free = t.next
+		*t = Txn{}
+	}
+	t.Core, t.Line, t.Seq = core, line, seq
 	if opts.SafeGetS && h.dir.RemoteOwner(core, line) >= 0 {
 		h.Stats.SafeGetSDelays++
-		//simlint:allow hotalloc -- synthetic delayed-GetS reply, one per failed safe load; bounded by load issue events (see ROADMAP hot-loop program for Txn pooling)
-		return &Txn{Core: core, Line: line, Seq: seq, Level: LevelDelayed}, true
+		t.Level = LevelDelayed
+		h.recycle(t) // never pending: valid until the next Load
+		return t, true
 	}
 
-	//simlint:allow hotalloc -- one transaction per issued load, live until its fill returns; bounded by MSHR capacity (see ROADMAP hot-loop program for Txn pooling)
-	t := &Txn{
-		Core: core, Line: line, Seq: seq, Kind: opts.Kind,
-		Spec: opts.Spec, NoFill: opts.NoFill, Owner: opts.Owner,
-		Epoch: h.epoch[core], Issued: now, OnDone: onDone,
-	}
+	t.Kind, t.Spec, t.NoFill, t.Owner = opts.Kind, opts.Spec, opts.NoFill, opts.Owner
+	t.Epoch, t.Issued, t.OnDone = h.epoch[core], now, onDone
 	t.SEFE.L1Way = -1
 
 	l1 := h.l1[core]
@@ -405,6 +437,7 @@ func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint6
 	mshr := h.l1mshr[core]
 	entry, merged, ok := mshr.Allocate(line, seq)
 	if !ok {
+		h.recycle(t)
 		return nil, false
 	}
 	if merged {
@@ -450,6 +483,7 @@ func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint6
 		if !l2ok {
 			mshr.Release(entry)
 			h.dir.Evict(core, line, false) // roll back the grant
+			h.recycle(t)
 			return nil, false
 		}
 		if !l2merged {
@@ -541,6 +575,14 @@ func (h *Hierarchy) SquashLoad(core int, line arch.LineAddr, seq uint64) bool {
 	return h.l1mshr[core].SquashWaiter(line, seq)
 }
 
+// recycle returns a completed (or never issued) transaction to the free
+// list. Its callback is dropped so the pool retains nothing of the caller.
+func (h *Hierarchy) recycle(t *Txn) {
+	t.OnDone = nil
+	t.next = h.free
+	h.free = t
+}
+
 // push schedules a transaction completion.
 func (h *Hierarchy) push(t *Txn) {
 	//simlint:allow undocomplete -- monotone tie-break sequence for the pending heap; IDs are never reused, so a squash must not rewind it
@@ -568,15 +610,18 @@ func (h *Hierarchy) complete(t *Txn) {
 	if t.OnDone != nil {
 		t.OnDone(t)
 	}
+	h.recycle(t)
 }
 
 func (h *Hierarchy) completePrimary(t *Txn) {
+	// Read the entry before releasing it: a released entry is recycled.
 	entry := t.entry
+	squashed, sefe := entry.Squashed, entry.SEFE
 	h.l1mshr[t.Core].Release(entry)
 	if t.l2entry != nil {
 		h.l2mshr.Release(t.l2entry)
 	}
-	if entry.Squashed {
+	if squashed {
 		// Section 3.3: data returned for a squashed entry is dropped;
 		// no cache state changes at all.
 		h.Stats.DroppedFills++
@@ -585,7 +630,6 @@ func (h *Hierarchy) completePrimary(t *Txn) {
 		return
 	}
 	// Apply fills top-down: L2 first (on a memory response), then L1.
-	sefe := entry.SEFE
 	if t.Level == LevelMem {
 		h.installL2(t.Line, t.Spec, t.Core, t.DoneAt)
 	}

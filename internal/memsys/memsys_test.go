@@ -16,19 +16,34 @@ func testConfig() Config {
 }
 
 // run drives the hierarchy until the given txn completes, returning the
-// completion cycle.
+// completion cycle. It reads t only before ticking: a completed Txn is
+// recycled, so its fields belong to the next Load.
 func run(h *Hierarchy, t *Txn) arch.Cycle {
-	for c := t.Issued; c <= t.DoneAt+1; c++ {
+	from, done := t.Issued, t.DoneAt
+	for c := from; c <= done+1; c++ {
 		h.Tick(c)
 	}
-	return t.DoneAt
+	return done
+}
+
+// completion is what a test's OnDone callback copies out of a finished
+// transaction, which the hierarchy recycles once the callback returns.
+type completion struct {
+	called  bool
+	level   Level
+	dropped bool
+	sefe    cache.SEFE
+}
+
+func (c *completion) onDone(t *Txn) {
+	*c = completion{called: true, level: t.Level, dropped: t.Dropped, sefe: t.SEFE}
 }
 
 func TestLoadMissFillsBothLevels(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x100)
-	var done *Txn
-	txn, ok := h.Load(0, line, 0, 1, LoadOpts{Spec: true, Kind: KindRegular}, func(x *Txn) { done = x })
+	var done completion
+	txn, ok := h.Load(0, line, 0, 1, LoadOpts{Spec: true, Kind: KindRegular}, done.onDone)
 	if !ok {
 		t.Fatal("load rejected")
 	}
@@ -40,11 +55,11 @@ func TestLoadMissFillsBothLevels(t *testing.T) {
 		t.Fatalf("DoneAt %d, want %d", txn.DoneAt, wantLat)
 	}
 	run(h, txn)
-	if done == nil {
+	if !done.called {
 		t.Fatal("OnDone not called")
 	}
-	if !done.SEFE.L1Fill || !done.SEFE.L2Fill {
-		t.Fatalf("SEFE %+v: both fills expected", done.SEFE)
+	if !done.sefe.L1Fill || !done.sefe.L2Fill {
+		t.Fatalf("SEFE %+v: both fills expected", done.sefe)
 	}
 	if h.ProbeLevel(0, line) != LevelL1 {
 		t.Fatal("line must be in L1 after fill")
@@ -91,21 +106,22 @@ func TestEvictionRecordedInSEFE(t *testing.T) {
 		txn, _ := h.Load(0, mk(i), arch.Cycle(i*300), uint64(i), LoadOpts{}, nil)
 		run(h, txn)
 	}
-	var fill *Txn
-	txn, _ := h.Load(0, mk(2), 1000, 9, LoadOpts{Spec: true}, func(x *Txn) { fill = x })
+	var fill completion
+	txn, _ := h.Load(0, mk(2), 1000, 9, LoadOpts{Spec: true}, fill.onDone)
 	run(h, txn)
-	if fill == nil || !fill.SEFE.L1EvictValid {
+	if !fill.called || !fill.sefe.L1EvictValid {
 		t.Fatalf("eviction not recorded: %+v", fill)
 	}
-	if fill.SEFE.L1EvictAddr != mk(0) {
-		t.Fatalf("victim %v, want %v (LRU)", fill.SEFE.L1EvictAddr, mk(0))
+	if fill.sefe.L1EvictAddr != mk(0) {
+		t.Fatalf("victim %v, want %v (LRU)", fill.sefe.L1EvictAddr, mk(0))
 	}
 }
 
 func TestInflightSquashDropsFill(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x200)
-	txn, _ := h.Load(0, line, 0, 7, LoadOpts{Spec: true}, nil)
+	var done completion
+	txn, _ := h.Load(0, line, 0, 7, LoadOpts{Spec: true}, done.onDone)
 	// Squash while in flight.
 	if !h.SquashLoad(0, line, 7) {
 		t.Fatal("squash must find the waiter")
@@ -114,7 +130,7 @@ func TestInflightSquashDropsFill(t *testing.T) {
 		t.Fatal("entry must be a zombie")
 	}
 	run(h, txn)
-	if !txn.Dropped {
+	if !done.dropped {
 		t.Fatal("fill must be dropped")
 	}
 	if h.ProbeLevel(0, line) != LevelMem {
@@ -131,7 +147,8 @@ func TestInflightSquashDropsFill(t *testing.T) {
 func TestSquashWithSurvivingMergedWaiterKeepsFill(t *testing.T) {
 	h := New(testConfig())
 	line := arch.LineAddr(0x200)
-	t1, _ := h.Load(0, line, 0, 1, LoadOpts{Spec: true}, nil)
+	var first completion
+	t1, _ := h.Load(0, line, 0, 1, LoadOpts{Spec: true}, first.onDone)
 	t2, _ := h.Load(0, line, 0, 2, LoadOpts{Spec: true}, nil)
 	if t1.DoneAt != t2.DoneAt {
 		t.Fatal("merged loads must complete together")
@@ -139,7 +156,7 @@ func TestSquashWithSurvivingMergedWaiterKeepsFill(t *testing.T) {
 	// Squash only the first; the second still wants the data.
 	h.SquashLoad(0, line, 1)
 	run(h, t1)
-	if t1.Dropped {
+	if !first.called || first.dropped {
 		t.Fatal("fill must survive for the merged waiter")
 	}
 	if h.ProbeLevel(0, line) != LevelL1 {
@@ -164,10 +181,10 @@ func TestInvisibleLoadChangesNothing(t *testing.T) {
 	snapL1 := h.L1(0).SnapshotTags()
 	snapL2 := h.L2().SnapshotTags()
 	txn, _ := h.Load(0, line, 0, 1, LoadOpts{Spec: true, NoFill: true, Kind: KindInvisible}, nil)
-	run(h, txn)
 	if txn.Level != LevelMem {
 		t.Fatalf("level %v", txn.Level)
 	}
+	run(h, txn)
 	if len(h.L1(0).SnapshotTags()) != len(snapL1) || len(h.L2().SnapshotTags()) != len(snapL2) {
 		t.Fatal("invisible load changed cache contents")
 	}
@@ -214,21 +231,21 @@ func TestCleanupInvalidateAndRestore(t *testing.T) {
 	txn, _ = h.Load(0, arch.LineAddr(4), 300, 2, LoadOpts{}, nil)
 	run(h, txn)
 	// Transient load evicts the victim.
-	var fill *Txn
-	txn, _ = h.Load(0, arch.LineAddr(8), 600, 3, LoadOpts{Spec: true}, func(x *Txn) { fill = x })
+	var fill completion
+	txn, _ = h.Load(0, arch.LineAddr(8), 600, 3, LoadOpts{Spec: true}, fill.onDone)
 	run(h, txn)
-	if fill == nil || !fill.SEFE.L1EvictValid {
+	if !fill.called || !fill.sefe.L1EvictValid {
 		t.Fatal("setup: no eviction")
 	}
 	// Cleanup: invalidate the transient line, restore the victim.
 	if !h.CleanupInvalidateL1(0, arch.LineAddr(8)) {
 		t.Fatal("invalidate must find the transient line")
 	}
-	lat := h.RestoreL1(0, fill.SEFE, 1000)
+	lat := h.RestoreL1(0, fill.sefe, 1000)
 	if lat != h.L2RT() {
 		t.Fatalf("restore latency %d, want L2 RT %d", lat, h.L2RT())
 	}
-	if _, ok := h.L1(0).Probe(fill.SEFE.L1EvictAddr); !ok {
+	if _, ok := h.L1(0).Probe(fill.sefe.L1EvictAddr); !ok {
 		t.Fatal("victim not restored")
 	}
 	if _, ok := h.L1(0).Probe(arch.LineAddr(8)); ok {
@@ -416,5 +433,80 @@ func TestPrewarmICache(t *testing.T) {
 		if got := h.IFetch(0, arch.Addr(pc), 10); got != 10 {
 			t.Fatalf("pc %d missed after prewarm", pc)
 		}
+	}
+}
+
+func TestTxnRecycledAfterCompletion(t *testing.T) {
+	h := New(testConfig())
+	var first completion
+	a, _ := h.Load(0, arch.LineAddr(0x100), 0, 1, LoadOpts{Spec: true}, first.onDone)
+	a.Ref = 7
+	run(h, a)
+	if !first.called || first.level != LevelMem {
+		t.Fatalf("completion %+v", first)
+	}
+	// The completed transaction is the next Load's, with every field
+	// reset: nothing of the first load (tag, callback, SEFE) survives.
+	b, _ := h.Load(0, arch.LineAddr(0x100), 500, 2, LoadOpts{}, nil)
+	if b != a {
+		t.Fatal("a completed Txn must be reused by the next Load")
+	}
+	if b.Ref != 0 || b.OnDone != nil || b.Primary || b.Seq != 2 || b.Level != LevelL1 || b.SEFE.L1Fill {
+		t.Fatalf("recycled Txn not reset: %+v", *b)
+	}
+}
+
+func TestRejectedAndDelayedLoadsReturnTheirTxn(t *testing.T) {
+	cfg := testConfig()
+	cfg.NumCores = 2
+	cfg.L1MSHRs = 1
+	h := New(cfg)
+	h.Store(1, arch.LineAddr(0x900), 0) // core 1 owns M
+	d, _ := h.Load(0, arch.LineAddr(0x900), 10, 1, LoadOpts{Spec: true, SafeGetS: true}, nil)
+	if d.Level != LevelDelayed {
+		t.Fatalf("level %v, want Delayed", d.Level)
+	}
+	held, _ := h.Load(0, arch.LineAddr(0x10), 10, 2, LoadOpts{}, nil)
+	if held != d {
+		t.Fatal("a delayed reply is recycled at once: the next Load reuses it")
+	}
+	if _, ok := h.Load(0, arch.LineAddr(0x20), 10, 3, LoadOpts{}, nil); ok {
+		t.Fatal("second miss must be rejected with a full MSHR")
+	}
+	// The rejected load's Txn went back to the pool; the pool did not
+	// grow by one per rejection.
+	if allocs := testing.AllocsPerRun(100, func() {
+		h.Load(0, arch.LineAddr(0x20), 10, 4, LoadOpts{}, nil)
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations per rejected load", allocs)
+	}
+	if h.PendingLen() != 1 {
+		t.Fatalf("pending %d, want only the held miss", h.PendingLen())
+	}
+}
+
+// TestSteadyStateLoadsDoNotAllocate cycles loads over more lines than the
+// L1 holds, so every load misses, fills, evicts and releases its MSHR and
+// directory entries: once the pools are warm nothing is allocated.
+func TestSteadyStateLoadsDoNotAllocate(t *testing.T) {
+	h := New(testConfig())
+	now := arch.Cycle(0)
+	i := 0
+	step := func() {
+		txn, ok := h.Load(0, arch.LineAddr(i%64), now, uint64(i), LoadOpts{Spec: i%2 == 0}, nil)
+		if !ok {
+			t.Fatal("load rejected")
+		}
+		done := txn.DoneAt
+		for ; now <= done; now++ {
+			h.Tick(now)
+		}
+		i++
+	}
+	for j := 0; j < 1000; j++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
+		t.Fatalf("%.2f allocations per load in steady state", allocs)
 	}
 }

@@ -16,7 +16,24 @@ import (
 type ValuePredict struct {
 	table map[arch.Addr]uint64 // last committed value per load PC
 
+	// validations records the in-flight validation accesses; each
+	// access's Txn.Ref indexes it, so one callback (onValidated, bound in
+	// NewValuePredict) serves them all. Completed records are recycled
+	// through the free list headed by freeRef (-1: empty).
+	validations []validation
+	freeRef     int32
+	onValidated func(*memsys.Txn)
+
 	Stats ValuePredStats
+}
+
+// validation is one in-flight validation access: the value-predicted load
+// it checks, identified by sequence number in case it is squashed first.
+type validation struct {
+	m    *cpu.Machine
+	e    *cpu.LQEntry
+	seq  uint64
+	next int32 // free-list link
 }
 
 // ValuePredStats counts prediction activity.
@@ -29,7 +46,9 @@ type ValuePredStats struct {
 
 // NewValuePredict creates the policy with an empty last-value table.
 func NewValuePredict() *ValuePredict {
-	return &ValuePredict{table: make(map[arch.Addr]uint64)}
+	v := &ValuePredict{table: make(map[arch.Addr]uint64), freeRef: -1}
+	v.onValidated = v.validated
+	return v
 }
 
 // Name implements cpu.Policy.
@@ -67,32 +86,48 @@ func (v *ValuePredict) launchValidation(m *cpu.Machine, e *cpu.LQEntry) {
 	}
 	e.UpdateLaunched = true
 	v.Stats.Validations++
-	seq := e.Seq
 	// A distinct waiter tag (thread field 63) keeps validation requests
 	// from colliding with the machine's own waiter ids in the MSHR.
-	waiter := seq<<6 | 63
+	waiter := e.Seq<<6 | 63
 	txn, ok := m.Hierarchy().Load(m.CoreID(), e.Line, m.Now(), waiter,
-		//simlint:allow hotalloc -- one validation closure per value-predicted load nearing commit; bounded by mispredicted-miss events, not cycles
-		memsys.LoadOpts{Owner: m.ThreadID()}, func(t *memsys.Txn) {
-			if !e.ValuePredicted || e.Seq != seq {
-				return // the load itself was squashed meanwhile
-			}
-			actual := m.Memory().Read64(e.Addr)
-			if actual == e.Value {
-				v.Stats.Correct++
-				e.ValuePredicted = false
-				return
-			}
-			v.Stats.Mispredicts++
-			m.RepairValueMisprediction(e, actual)
-		})
+		memsys.LoadOpts{Owner: m.ThreadID()}, v.onValidated)
 	if !ok {
 		// MSHR full: retry from CommitWait.
 		e.UpdateLaunched = false
 		v.Stats.Validations--
 		return
 	}
+	ref := v.freeRef
+	if ref < 0 {
+		ref = int32(len(v.validations))
+		//simlint:allow hotalloc -- grows the policy-owned record table to the peak number of validations in flight (at most the LQ size), then recycles it
+		v.validations = append(v.validations, validation{})
+	} else {
+		v.freeRef = v.validations[ref].next
+	}
+	v.validations[ref] = validation{m: m, e: e, seq: e.Seq}
+	txn.Ref = ref
 	e.UpdateDoneAt = txn.DoneAt
+}
+
+// validated completes a validation access: a correct prediction clears
+// the load's flag, a wrong one squashes and repairs its dependents.
+func (v *ValuePredict) validated(t *memsys.Txn) {
+	r := v.validations[t.Ref]
+	v.validations[t.Ref] = validation{next: v.freeRef}
+	v.freeRef = t.Ref
+	m, e := r.m, r.e
+	if !e.ValuePredicted || e.Seq != r.seq {
+		return // the load itself was squashed meanwhile
+	}
+	actual := m.Memory().Read64(e.Addr)
+	if actual == e.Value {
+		v.Stats.Correct++
+		e.ValuePredicted = false
+		return
+	}
+	v.Stats.Mispredicts++
+	m.RepairValueMisprediction(e, actual)
 }
 
 // CommitWait implements cpu.Policy: a value-predicted load may not retire
