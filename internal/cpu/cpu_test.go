@@ -344,25 +344,35 @@ func TestTracerDetachedCostsNothingVisible(t *testing.T) {
 	}
 }
 
-// TestDispatchResetsEveryROBField pins ROBEntry's field list. dispatch
-// recycles a slot by assigning each field in place rather than through a
-// struct literal, so a field added to ROBEntry must also be reset there
-// (then listed here), or a stale value leaks from the slot's last
-// occupant.
+// TestDispatchResetsEveryROBField pins the field lists of the two slot
+// types the front end recycles in place: fetch fills a fetchSlot and
+// dispatch a ROBEntry by assigning each field rather than through a struct
+// literal. A field added to either must also be reset there (then listed
+// here), or a stale value leaks from the slot's last occupant.
 func TestDispatchResetsEveryROBField(t *testing.T) {
-	want := []string{
-		"valid", "seq", "pc", "inst", "state",
-		"src1Ready", "src2Ready", "src1Val", "src2Val", "pendSrcs", "result",
-		"hasRd", "oldRat", "oldRatSeq", "consumers",
-		"isCtrl", "predTaken", "predTarget", "predState", "snapshot", "hasPred",
-		"lqIdx", "sqIdx", "doneAt", "wakeDeferred", "mispredicted",
-	}
-	rt := reflect.TypeOf(ROBEntry{})
-	var got []string
-	for i := 0; i < rt.NumField(); i++ {
-		got = append(got, rt.Field(i).Name)
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("ROBEntry fields changed:\n got %v\nwant %v\nreset the new field in dispatch, then update this list", got, want)
+	for _, c := range []struct {
+		typ   any
+		where string
+		want  []string
+	}{
+		{ROBEntry{}, "dispatch", []string{
+			"valid", "seq", "pc", "inst", "state",
+			"src1Ready", "src2Ready", "src1Val", "src2Val", "pendSrcs", "result",
+			"hasRd", "oldRat", "oldRatSeq", "consumers",
+			"isCtrl", "predTaken", "predTarget", "predState", "snapshot", "hasPred",
+			"lqIdx", "sqIdx", "doneAt", "wakeDeferred", "mispredicted",
+		}},
+		{fetchSlot{}, "fetch", []string{
+			"pc", "inst", "predTaken", "predNext", "predState", "snapshot", "hasPred",
+		}},
+	} {
+		rt := reflect.TypeOf(c.typ)
+		var got []string
+		for i := 0; i < rt.NumField(); i++ {
+			got = append(got, rt.Field(i).Name)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s fields changed:\n got %v\nwant %v\nreset the new field in %s, then update this list", rt.Name(), got, c.want, c.where)
+		}
 	}
 }

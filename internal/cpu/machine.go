@@ -539,7 +539,8 @@ func truncSeqsAbove(seqs []uint64, bound uint64) []uint64 {
 func fetchBufSize(cfg Config) int { return cfg.FetchWidth * 2 }
 
 // fetch fills the fetch buffer along the predicted path. Each slot is
-// built in place in the buffer's preallocated backing array.
+// built in place in the buffer's preallocated backing array, every field
+// assigned (TestDispatchResetsEveryROBField pins the list).
 func (m *Machine) fetch() {
 	if m.halted || m.fetchHalted || m.now < m.fetchStallUntil {
 		return

@@ -378,8 +378,8 @@ type LoadOpts struct {
 // Load issues a load of line for core at time now. It returns the
 // transaction and true, or (nil, false) if an MSHR could not be allocated
 // (the caller retries). If opts.SafeGetS fails, it returns a synthetic
-// completed transaction with Level == LevelDelayed and does not touch any
-// state.
+// completed transaction with Level == LevelDelayed, valid until the next
+// Load, and does not touch any state.
 func (h *Hierarchy) Load(core int, line arch.LineAddr, now arch.Cycle, seq uint64, opts LoadOpts, onDone func(*Txn)) (*Txn, bool) {
 	// Take a zeroed transaction from the free list; the pool grows only
 	// while the number of loads in flight reaches a new peak.
