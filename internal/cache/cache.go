@@ -238,6 +238,13 @@ func (c *Cache) Victim(l arch.LineAddr, part int) (set, way int) {
 			return set, w
 		}
 	}
+	return set, c.replace(l, set, lo, hi)
+}
+
+// replace picks the way to evict from the full ways [lo, hi) of set for
+// incoming line l. Victim and Prefill share it, so the cache has one
+// replacement implementation.
+func (c *Cache) replace(l arch.LineAddr, set, lo, hi int) int {
 	switch c.cfg.Repl {
 	case ReplRandom:
 		// Stateless pseudo-random selection: the victim is a pure hash
@@ -252,7 +259,7 @@ func (c *Cache) Victim(l arch.LineAddr, part int) (set, way int) {
 		// function of the access leaves no state to leak, which is the
 		// paper's actual claim for random replacement (Section 3.2).
 		h := xrand.Hash64(c.cfg.Seed ^ 0xCAC4E ^ uint64(l)<<20 ^ uint64(set))
-		return set, lo + int(h%uint64(hi-lo))
+		return lo + int(h%uint64(hi-lo))
 	default: // LRU
 		best, bestStamp := lo, c.stamp[set*c.ways+lo]
 		for w := lo + 1; w < hi; w++ {
@@ -260,7 +267,7 @@ func (c *Cache) Victim(l arch.LineAddr, part int) (set, way int) {
 				best, bestStamp = w, s
 			}
 		}
-		return set, best
+		return best
 	}
 }
 
@@ -292,6 +299,41 @@ func (c *Cache) InstallAt(set, way int, l arch.LineAddr, st arch.CohState, now a
 	c.Stats.Installs++
 	c.touch(set, way)
 	return evicted
+}
+
+// Prefill installs the n consecutive lines first, first+1, ...,
+// first+n-1, in that order, with state st. The result — every line,
+// replacement stamp, tick and Stats counter — is exactly what n calls of
+// Install(l, st, 0, 0) would leave, but each line's set is computed once
+// and the k-th line of a set goes straight to way k until the set is full;
+// after that the victim comes from the same replacement code Install uses.
+// The cache must be unpartitioned and empty (it panics otherwise), which is
+// what makes the direct way placement exact. It allocates one per-set
+// counter per call and nothing per line.
+func (c *Cache) Prefill(first arch.LineAddr, n int, st arch.CohState) {
+	if c.cfg.PartitionWays > 0 {
+		panic(fmt.Sprintf("cache %s: Prefill on a way-partitioned cache", c.cfg.Name))
+	}
+	for i := range c.lines {
+		if c.lines[i].Valid() {
+			panic(fmt.Sprintf("cache %s: Prefill on a non-empty cache", c.cfg.Name))
+		}
+	}
+	filled := make([]int32, c.sets)
+	for i := 0; i < n; i++ {
+		l := first + arch.LineAddr(i)
+		set := c.idx.SetIndex(l)
+		way := int(filled[set])
+		if way < c.ways {
+			filled[set]++
+		} else {
+			way = c.replace(l, set, 0, c.ways)
+			c.Stats.Evictions++ // prefilled lines are clean: no writeback
+		}
+		c.lines[set*c.ways+way] = Line{Tag: l, State: st}
+		c.touch(set, way)
+	}
+	c.Stats.Installs += uint64(n)
 }
 
 // Invalidate removes line l if present, returning its prior contents.

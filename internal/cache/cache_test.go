@@ -1,10 +1,13 @@
 package cache
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/ceaser"
 	"repro/internal/xrand"
 )
 
@@ -338,4 +341,70 @@ func TestMSHRCapacityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestPrefillMatchesPerLineInstall pins Prefill to its definition: n
+// per-line Install(l, st, 0, 0) calls on an empty cache. Every line,
+// stamp, the tick and every Stats field must agree, under both
+// replacement policies and both indexers, for fills below capacity and
+// far beyond it.
+func TestPrefillMatchesPerLineInstall(t *testing.T) {
+	const size, ways = 64 << 10, 16 // 64 sets, 1024 lines
+	sets := size / arch.LineBytes / ways
+	first := arch.LineAddr(0x2000_0000 >> arch.LineShift)
+	for _, repl := range []ReplKind{ReplLRU, ReplRandom} {
+		for _, ix := range []string{"mod", "ceaser"} {
+			for _, n := range []int{700, 8*sets*ways + 37} {
+				mk := func() *Cache {
+					cfg := Config{Name: "L2", SizeBytes: size, Ways: ways, Repl: repl, Seed: 7}
+					if ix == "ceaser" {
+						cfg.Indexer = ceaser.New(sets, 0x5EED)
+					}
+					return New(cfg)
+				}
+				want, got := mk(), mk()
+				for i := 0; i < n; i++ {
+					want.Install(first+arch.LineAddr(i), arch.Shared, 0, 0)
+				}
+				got.Prefill(first, n, arch.Shared)
+				name := fmt.Sprintf("%v/%s/n=%d", repl, ix, n)
+				if !reflect.DeepEqual(got.lines, want.lines) {
+					t.Errorf("%s: lines differ", name)
+				}
+				if !reflect.DeepEqual(got.stamp, want.stamp) {
+					t.Errorf("%s: stamps differ", name)
+				}
+				if got.tick != want.tick {
+					t.Errorf("%s: tick %d, want %d", name, got.tick, want.tick)
+				}
+				if got.Stats != want.Stats {
+					t.Errorf("%s: stats %+v, want %+v", name, got.Stats, want.Stats)
+				}
+				if n > sets*ways && got.Stats.Evictions == 0 {
+					t.Errorf("%s: an over-capacity fill evicted nothing", name)
+				}
+			}
+		}
+	}
+}
+
+func TestPrefillRejectsNonEmptyOrPartitionedCache(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("non-empty", func() {
+		c := small(ReplLRU)
+		c.Install(3, arch.Shared, 0, 0)
+		c.Prefill(100, 4, arch.Shared)
+	})
+	mustPanic("partitioned", func() {
+		c := New(Config{Name: "p", SizeBytes: 512, Ways: 2, PartitionWays: 1})
+		c.Prefill(100, 4, arch.Shared)
+	})
 }

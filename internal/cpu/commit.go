@@ -46,7 +46,7 @@ func (m *Machine) commit() {
 	// The scan stops at the first incomplete entry: everything before it
 	// is unsquashable (no unresolved branch, store address, or load can
 	// precede it), so commit-time side effects are safe to start.
-	for n, slot := 0, m.robHead; n < commitWindow && n < int(m.robCount); n, slot = n+1, (slot+1)%int32(m.cfg.ROBSize) {
+	for n, slot := 0, m.robHead; n < commitWindow && n < int(m.robCount); n, slot = n+1, ringNext(slot, m.cfg.ROBSize) {
 		e := &m.rob[slot]
 		if !e.valid || e.state != stDone {
 			break
@@ -136,7 +136,7 @@ func (m *Machine) commit() {
 
 		m.emit(trace.KindCommit, e.seq, e.pc, 0, 0)
 		e.valid = false
-		m.robHead = (m.robHead + 1) % int32(m.cfg.ROBSize)
+		m.robHead = ringNext(m.robHead, m.cfg.ROBSize)
 		m.robCount--
 		m.Stats.Committed++
 		m.lastCommitCycle = m.now
@@ -153,7 +153,7 @@ func (m *Machine) freeLQHead(idx int32) {
 	}
 	m.lq[idx].valid = false
 	m.lq[idx].txn = nil
-	m.lqHead = (m.lqHead + 1) % int32(m.cfg.LQSize)
+	m.lqHead = ringNext(m.lqHead, m.cfg.LQSize)
 	m.lqCount--
 }
 
@@ -163,7 +163,7 @@ func (m *Machine) freeSQHead(idx int32) {
 		panic(fmt.Sprintf("cpu: committing store at SQ %d but head is %d", idx, m.sqHead))
 	}
 	m.sq[idx].valid = false
-	m.sqHead = (m.sqHead + 1) % int32(m.cfg.SQSize)
+	m.sqHead = ringNext(m.sqHead, m.cfg.SQSize)
 	m.sqCount--
 }
 

@@ -254,7 +254,7 @@ func (m *Machine) olderStoreBlocks(seq uint64, addr arch.Addr) (bool, bool, uint
 	// The youngest older matching store wins forwarding.
 	var fwdVal uint64
 	fwd := false
-	for n, i := int32(0), m.sqHead; n < m.sqCount; n, i = n+1, (i+1)%int32(m.cfg.SQSize) {
+	for n, i := int32(0), m.sqHead; n < m.sqCount; n, i = n+1, ringNext(i, m.cfg.SQSize) {
 		sq := &m.sq[i]
 		if !sq.valid || sq.seq > seq || !sq.addrReady {
 			continue
@@ -277,7 +277,7 @@ func (m *Machine) checkMemOrderViolation(sqIdx int32) {
 	sq := &m.sq[sqIdx]
 	violator := int32(-1)
 	var vseq uint64
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, m.cfg.LQSize) {
 		lq := &m.lq[i]
 		if !lq.valid || !lq.Issued || !lq.HasAddr || lq.Seq < sq.seq {
 			continue
@@ -536,7 +536,7 @@ func (m *Machine) resolveCtrl(slot int32) {
 // promoteVisibility notifies the policy about completed loads that just
 // became unsquashable.
 func (m *Machine) promoteVisibility() {
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, m.cfg.LQSize) {
 		lq := &m.lq[i]
 		if !lq.valid || lq.Visible {
 			continue
@@ -586,7 +586,7 @@ func (m *Machine) memOrderSquash(vSlot int32) {
 	v := &m.rob[vSlot]
 	m.Stats.Squashes++
 	m.Stats.MemOrderSquashes++
-	stop := (vSlot - 1 + int32(m.cfg.ROBSize)) % int32(m.cfg.ROBSize)
+	stop := ringPrev(vSlot, m.cfg.ROBSize)
 	m.emit(trace.KindMemOrderSquash, v.seq, v.pc, 0, 0)
 	m.doSquash(v.seq, stop, v.pc)
 }
@@ -599,7 +599,7 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 	// Collect squashed loads in program order first (oldest to youngest)
 	// into the machine-owned scratch, whose capacity is the LQ size.
 	squashedLoads := m.squashed[:0]
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, m.cfg.LQSize) {
 		lq := &m.lq[i]
 		if !lq.valid || lq.Seq < cutoff {
 			continue
@@ -641,7 +641,7 @@ func (m *Machine) doSquash(cutoff uint64, stopSlot int32, redirectPC arch.Addr) 
 	// Walk the ROB tail back to the stop slot, undoing renames youngest
 	// first so oldRat restoration is exact.
 	for m.robCount > 0 {
-		last := (m.robTail - 1 + int32(m.cfg.ROBSize)) % int32(m.cfg.ROBSize)
+		last := ringPrev(m.robTail, m.cfg.ROBSize)
 		if last == stopSlot {
 			break
 		}
@@ -754,7 +754,7 @@ func (m *Machine) RepairValueMisprediction(e *LQEntry, actual uint64) {
 // the LQ holds only correct-path loads.
 func (m *Machine) OlderInflightWait() arch.Cycle {
 	var max arch.Cycle
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, m.cfg.LQSize) {
 		lq := &m.lq[i]
 		if !lq.valid || !lq.Issued || lq.Completed {
 			continue
@@ -773,7 +773,7 @@ func (m *Machine) OlderInflightWait() arch.Cycle {
 // that correct-path execution also justifies (Section 3.4, "Squashing Loads
 // Re-ordered with Correct-Path Loads").
 func (m *Machine) LineReferencedByLiveLoad(line arch.LineAddr) bool {
-	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, (i+1)%int32(m.cfg.LQSize) {
+	for n, i := int32(0), m.lqHead; n < m.lqCount; n, i = n+1, ringNext(i, m.cfg.LQSize) {
 		lq := &m.lq[i]
 		if lq.valid && lq.HasAddr && lq.Line == line {
 			return true

@@ -520,6 +520,24 @@ func removeSeq(seqs []uint64, seq uint64) []uint64 {
 	return seqs
 }
 
+// ringNext returns the slot after i in a ring of size slots. The ROB, LQ
+// and SQ sizes are runtime config values, so a compare-and-wrap replaces
+// the hardware divide a modulo would cost on every step.
+func ringNext(i int32, size int) int32 {
+	if i++; i == int32(size) {
+		return 0
+	}
+	return i
+}
+
+// ringPrev returns the slot before i in a ring of size slots.
+func ringPrev(i int32, size int) int32 {
+	if i == 0 {
+		return int32(size) - 1
+	}
+	return i - 1
+}
+
 // truncSeqsAbove removes all seqs greater than bound.
 func truncSeqsAbove(seqs []uint64, bound uint64) []uint64 {
 	out := seqs[:0]
@@ -621,7 +639,7 @@ func (m *Machine) dispatch() {
 		m.fetchHead++
 
 		slot := m.robTail
-		m.robTail = (m.robTail + 1) % int32(m.cfg.ROBSize)
+		m.robTail = ringNext(m.robTail, m.cfg.ROBSize)
 		m.robCount++
 		seq := m.nextSeq()
 		// Reset every field of the recycled slot in place (a struct
@@ -664,13 +682,13 @@ func (m *Machine) dispatch() {
 		switch op {
 		case isa.OpLoad:
 			idx := m.lqTail
-			m.lqTail = (m.lqTail + 1) % int32(m.cfg.LQSize)
+			m.lqTail = ringNext(m.lqTail, m.cfg.LQSize)
 			m.lqCount++
 			m.lq[idx] = LQEntry{valid: true, slot: slot, Seq: seq, PC: fs.pc}
 			e.lqIdx = idx
 		case isa.OpStore:
 			idx := m.sqTail
-			m.sqTail = (m.sqTail + 1) % int32(m.cfg.SQSize)
+			m.sqTail = ringNext(m.sqTail, m.cfg.SQSize)
 			m.sqCount++
 			m.sq[idx] = sqEntry{valid: true, slot: slot, seq: seq}
 			e.sqIdx = idx

@@ -934,10 +934,25 @@ func (h *Hierarchy) L2RemapStep() (moved int) {
 }
 
 // PrewarmL2 installs line into the L2 (clean, non-speculative) without any
-// timing or traffic effects — experiment harnesses use it to stand in for
-// the cache state after the paper's 10-billion-instruction fast-forward.
+// timing or traffic effects. It is the per-line form of PrewarmL2Range, for
+// callers that prewarm line by line (simbench's rebuilt cells time it); it
+// back-invalidates the L1s on each eviction like any L2 fill.
 func (h *Hierarchy) PrewarmL2(line arch.LineAddr) {
 	h.installL2(line, false, 0, 0)
+}
+
+// PrewarmL2Range installs the n consecutive lines starting at first into
+// the L2 (clean, non-speculative) in one pass, without any timing or
+// traffic effects — sim.RunWorkload uses it to stand in for the cache state
+// after the paper's 10-billion-instruction fast-forward. It must run on a
+// fresh hierarchy, before the first access: every L1 is then empty, so the
+// L2 evictions need no back-invalidation, and the result is exactly that of
+// n PrewarmL2 calls. It panics otherwise.
+func (h *Hierarchy) PrewarmL2Range(first arch.LineAddr, n int) {
+	if h.seqGen != 0 {
+		panic("memsys: PrewarmL2Range after the hierarchy served a load")
+	}
+	h.l2.Prefill(first, n, arch.Shared)
 }
 
 // AttachMetrics registers the hierarchy's counters and gauges into reg:

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -508,5 +509,104 @@ func TestSteadyStateLoadsDoNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(500, step); allocs != 0 {
 		t.Fatalf("%.2f allocations per load in steady state", allocs)
+	}
+}
+
+// cleanupSpecConfig mirrors core.HierarchyConfig (random-replacement L1,
+// CEASER-indexed L2, spec-window protection), which this package cannot
+// import without a cycle.
+func cleanupSpecConfig() Config {
+	cfg := DefaultConfig(1)
+	cfg.L1.Repl = cache.ReplRandom
+	cfg.RandomizeL2 = true
+	cfg.ProtectSpecWindow = true
+	return cfg
+}
+
+// TestPrewarmL2RangeMatchesPerLine checks the bulk prewarm against one
+// PrewarmL2 call per line over a 16 MB range — eight times the 2 MB L2 —
+// under the NonSecure and CleanupSpec hierarchies.
+func TestPrewarmL2RangeMatchesPerLine(t *testing.T) {
+	first := arch.Addr(0x2000_0000).Line()
+	const n = (16 << 20) / arch.LineBytes
+	for name, cfg := range map[string]Config{"nonsecure": DefaultConfig(1), "cleanupspec": cleanupSpecConfig()} {
+		want, got := New(cfg), New(cfg)
+		for i := 0; i < n; i++ {
+			want.PrewarmL2(first + arch.LineAddr(i))
+		}
+		got.PrewarmL2Range(first, n)
+		if !reflect.DeepEqual(got.Snapshot(), want.Snapshot()) {
+			t.Errorf("%s: snapshots differ", name)
+		}
+		if got.L2().Stats != want.L2().Stats {
+			t.Errorf("%s: L2 stats %+v, want %+v", name, got.L2().Stats, want.L2().Stats)
+		}
+		if got.Stats != want.Stats || got.Traffic != want.Traffic {
+			t.Errorf("%s: hierarchy counters moved: %+v %+v", name, got.Stats, got.Traffic)
+		}
+		l2 := got.L2()
+		for s := 0; s < l2.Sets(); s++ {
+			for w := 0; w < l2.Ways(); w++ {
+				if g, w2 := l2.LineAt(s, w), want.L2().LineAt(s, w); g != w2 {
+					t.Fatalf("%s: L2 set %d way %d holds %+v, want %+v", name, s, w, g, w2)
+				}
+			}
+		}
+	}
+}
+
+func TestPrewarmL2RangeAfterLoadPanics(t *testing.T) {
+	for _, tick := range []bool{false, true} {
+		h := New(testConfig())
+		txn, ok := h.Load(0, 0x100, 0, 1, LoadOpts{Kind: KindRegular}, nil)
+		if !ok {
+			t.Fatal("load rejected")
+		}
+		if tick {
+			run(h, txn)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PrewarmL2Range after a Load (completed=%v) did not panic", tick)
+				}
+			}()
+			h.PrewarmL2Range(0x4000, 16)
+		}()
+	}
+}
+
+// BenchmarkPrewarmL2 prewarms a 16 MB range (262,144 lines, eight times
+// the L2's capacity) into a fresh 2 MB L2, as sim.RunWorkload does for the
+// largest footprints, under the modulo-indexed LRU L2 and the CEASER-indexed
+// one: in one PrewarmL2Range call ("range") and in one PrewarmL2 call per
+// line ("per-line").
+func BenchmarkPrewarmL2(b *testing.B) {
+	first := arch.Addr(0x2000_0000).Line()
+	const n = (16 << 20) / arch.LineBytes
+	perLine := func(h *Hierarchy) {
+		for i := 0; i < n; i++ {
+			h.PrewarmL2(first + arch.LineAddr(i))
+		}
+	}
+	for _, l2 := range []struct {
+		name string
+		cfg  Config
+	}{{"lru-mod", DefaultConfig(1)}, {"ceaser", cleanupSpecConfig()}} {
+		for _, mode := range []struct {
+			name    string
+			prewarm func(*Hierarchy)
+		}{{"range", func(h *Hierarchy) { h.PrewarmL2Range(first, n) }}, {"per-line", perLine}} {
+			b.Run(l2.name+"/"+mode.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					h := New(l2.cfg)
+					b.StartTimer()
+					mode.prewarm(h)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/line")
+			})
+		}
 	}
 }

@@ -290,9 +290,7 @@ func RunWorkload(name string, cfg Config) (Result, error) {
 		if cfg.NoWarmup {
 			return
 		}
-		for off := 0; off < size; off += 64 {
-			h.PrewarmL2(arch.Addr(base + uint64(off)).Line())
-		}
+		h.PrewarmL2Range(arch.Addr(base).Line(), (size+arch.LineBytes-1)/arch.LineBytes)
 		h.PrewarmICache(0, len(prog.Code))
 	})
 }
